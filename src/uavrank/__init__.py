@@ -14,7 +14,14 @@ from .scene import (
     permittivity,
     serialize_scene,
 )
-from .raytrace import RayPath, foliage_loss, fresnel_reflection, path_gain, trace_paths
+from .raytrace import (
+    PathTable,
+    RayPath,
+    foliage_loss,
+    fresnel_reflection,
+    path_gain,
+    trace_paths,
+)
 from .channel import (
     ChannelMatrix,
     OutOfCoverageError,

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .raytrace import row_dot
 from .scene import ArrayConfig
 
 DEFAULT_THRESHOLD_RATIOS = (10.0, 100.0, 1000.0)
@@ -103,3 +104,68 @@ def rss(paths, tx: ArrayConfig, rx: ArrayConfig, tx_power_w: float,
     if p_rx == 0.0:
         return -np.inf
     return 10.0 * np.log10(p_rx * 1e3)
+
+
+# ---------------------------------------------------------------------------
+# Batched counterparts over a raytrace.PathTable
+#
+# Same arithmetic as the per-link functions above, in the same order, so a
+# channel, rank or RSS from here equals the per-link one bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _steering_rows(a: ArrayConfig, angles) -> np.ndarray:
+    """steering_vector per row of (azimuth, elevation) angles: (P, elements)."""
+    az, el = angles[:, 0], angles[:, 1]
+    c = np.cos(el)
+    direction = np.column_stack([c * np.cos(az), c * np.sin(az), np.sin(el)])
+    proj = row_dot(np.broadcast_to(np.asarray(a.axis), direction.shape), direction)
+    phase = np.zeros((len(proj), a.elements), dtype=complex)
+    phase.imag = (2.0 * np.pi * a.spacing_wavelengths * proj)[:, None] * np.arange(a.elements)
+    return np.exp(phase)
+
+
+def synthesize_channels(paths, n_links: int, tx: ArrayConfig, rx: ArrayConfig,
+                        wavelength_m: float) -> np.ndarray:
+    """Channel matrix of every link of a PathTable, shape (n_links, N_r, N_t).
+
+    Links without a path get an all-zero matrix.
+    """
+    a_tx = _steering_rows(tx, paths.aod).conj()
+    a_rx = _steering_rows(rx, paths.aoa)
+    h = np.zeros((n_links, rx.elements, tx.elements), dtype=complex)
+    # a link's k-th path is added in the k-th pass, keeping the per-link order
+    slot = np.arange(len(paths.cell)) - np.searchsorted(paths.cell, paths.cell)
+    for k in range(int(slot.max(initial=-1)) + 1):
+        sel = slot == k
+        h[paths.cell[sel]] += paths.gain[sel, None, None] * (a_rx[sel, :, None]
+                                                             * a_tx[sel, None, :])
+    if not np.all(np.isfinite(h)):
+        raise ValueError("channel matrix entries must be finite")
+    return h
+
+
+def channel_ranks(h: np.ndarray, thresholds) -> np.ndarray:
+    """channel_rank of a stack of channel matrices for every K: (n, N_K)."""
+    for K in thresholds:
+        if K <= 1:
+            raise ValueError(f"threshold ratio K must be > 1, got {K}")
+    if len(h) == 0:
+        return np.zeros((0, len(thresholds)), dtype=int)
+    sv = np.linalg.svd(h, compute_uv=False)
+    if np.any(sv[:, 0] == 0):
+        raise ValueError("rank undefined for an all-zero channel matrix")
+    cut = sv[:, :1] / np.asarray(thresholds, dtype=float)
+    return np.sum(sv[:, None, :] > cut[:, :, None], axis=2)
+
+
+def rss_dbm(h: np.ndarray, tx: ArrayConfig, rx: ArrayConfig,
+            tx_power_w: float) -> np.ndarray:
+    """rss with the uniform beam of a stack of channel matrices: (n,) dBm."""
+    w = np.ones(tx.elements) / np.sqrt(tx.elements)
+    y = h @ w
+    norm = np.sqrt(row_dot(y.real, y.real) + row_dot(y.imag, y.imag))
+    power = np.array([x ** 2 for x in norm])  # libm pow, as in rss
+    p_rx = tx_power_w * power / rx.elements
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(p_rx * 1e3)

@@ -48,7 +48,6 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_RSS_ALTITUDES = (30.0, 70.0, 110.0)
-DEFAULT_RANK_ALTITUDES = (3.0, 30.0, 70.0, 110.0)
 
 
 class InputError(Exception):

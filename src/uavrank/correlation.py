@@ -49,6 +49,11 @@ class CorrelationModel:
     @classmethod
     def from_json(cls, text: str) -> "CorrelationModel":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("correlation model must be a JSON object")
+        for key in ("c1", "c2", "c3", "c4", "rmse"):
+            if key not in d:
+                raise ValueError(f"correlation model missing key {key!r}")
         return cls(
             c1=d["c1"], c2=d["c2"], c3=d["c3"], c4=d["c4"],
             rmse=d["rmse"], max_distance_m=d.get("max_distance_m", DEFAULT_MAX_DISTANCE_M),

@@ -10,9 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import DEFAULT_THRESHOLD_RATIOS, channel_rank, rss, synthesize_channel
+from .channel import DEFAULT_THRESHOLD_RATIOS, channel_ranks, rss_dbm, synthesize_channels
 from .raytrace import trace_paths
 from .scene import ArrayConfig, Scene, Tower, grid_positions
+
+# Per-link channel functions, which the sweeps do not call; bound here because
+# bench/tracing.py wraps them by their covermap names.
+from .channel import channel_rank, rss, synthesize_channel  # noqa: F401
 
 JOINT = "JOINT"
 
@@ -63,6 +67,27 @@ def _tx_array(mode: str, tower: Tower) -> ArrayConfig:
     return ArrayConfig(elements=1) if mode == "SISO" else tower.array
 
 
+# Links whose channels are built and reduced together; bounds the channel
+# stack and the per-path temporaries of a block to a few tens of kB per array.
+_CHANNEL_BLOCK = 256
+
+
+def _sweep(s: Scene, tower: Tower, xy: np.ndarray, altitudes, tx_cfg: ArrayConfig,
+           rx_cfg: ArrayConfig, max_reflections: int, reduce, out: np.ndarray) -> None:
+    """Write reduce(channels) of every (altitude, cell) link from `tower`,
+    altitude major, into the rows of `out`; the rows of links without a
+    propagation path are left as they are."""
+    rx = np.column_stack([np.tile(xy, (len(altitudes), 1)),
+                          np.repeat(np.asarray(altitudes, dtype=float), len(xy))])
+    paths = trace_paths(s, tower.position, rx, max_reflections)
+    for k in range(0, len(rx), _CHANNEL_BLOCK):
+        block = paths.links(k, k + _CHANNEL_BLOCK)
+        covered = np.unique(block.cell)
+        h = synthesize_channels(block, min(_CHANNEL_BLOCK, len(rx) - k), tx_cfg, rx_cfg,
+                                s.wavelength_m)
+        out[k + covered] = reduce(h[covered])
+
+
 def compute_coverage(s: Scene, tower: Tower, altitude_m: float, mode: str = "SISO",
                      rx_array: ArrayConfig | None = None,
                      max_reflections: int = 2) -> CoverageGrid:
@@ -72,13 +97,9 @@ def compute_coverage(s: Scene, tower: Tower, altitude_m: float, mode: str = "SIS
     rx_cfg = _rx_array(mode, rx_array)
     tx_cfg = _tx_array(mode, tower)
     pos = grid_positions(s)
-    lam = s.wavelength_m
     values = np.full(len(pos), np.nan)
-    txp = tower.position
-    for i, (x, y) in enumerate(pos):
-        paths = trace_paths(s, txp, (x, y, altitude_m), max_reflections)
-        if paths:
-            values[i] = rss(paths, tx_cfg, rx_cfg, s.tx_power_w, lam)
+    _sweep(s, tower, pos, (altitude_m,), tx_cfg, rx_cfg, max_reflections,
+           lambda h: rss_dbm(h, tx_cfg, rx_cfg, s.tx_power_w), values)
     return CoverageGrid(tower.id, altitude_m, mode, pos, values)
 
 
@@ -137,18 +158,16 @@ def compute_rank_grid(s: Scene, thresholds=DEFAULT_THRESHOLD_RATIOS,
     thresholds = tuple(thresholds)
     serving = nearest_tower_ids(s, pos)
     rx_cfg = rx_array if rx_array is not None else ArrayConfig()
-    lam = s.wavelength_m
-    towers = {t.id: t for t in s.towers}
     ranks = np.full((len(altitudes), len(thresholds), len(pos)), Z_RANK, dtype=int)
-    for hi, h in enumerate(altitudes):
-        for i, (x, y) in enumerate(pos):
-            tower = towers[serving[i]]
-            paths = trace_paths(s, tower.position, (x, y, h), max_reflections)
-            if not paths:
-                continue
-            hmat = synthesize_channel(paths, tower.array, rx_cfg, lam, s.frequency_hz)
-            for ki, K in enumerate(thresholds):
-                ranks[hi, ki, i] = channel_rank(hmat, K)
+    for tower in s.towers:
+        cells = np.nonzero(serving == tower.id)[0]
+        if len(cells) == 0:
+            continue
+        r = np.full((len(altitudes) * len(cells), len(thresholds)), Z_RANK)
+        _sweep(s, tower, pos[cells], altitudes, tower.array, rx_cfg, max_reflections,
+               lambda h: channel_ranks(h, thresholds), r)
+        r = r.reshape(len(altitudes), len(cells), len(thresholds))
+        ranks[:, :, cells] = r.transpose(0, 2, 1)
     return RankGrid(pos, altitudes, thresholds, ranks, serving)
 
 
@@ -158,10 +177,13 @@ def compute_rank_grid(s: Scene, thresholds=DEFAULT_THRESHOLD_RATIOS,
 
 
 def grid_to_csv(positions: np.ndarray, values: np.ndarray) -> str:
-    """Value-per-cell CSV; NaN / negative rank sentinels are written as "Z"."""
+    """Value-per-cell CSV; the out-of-coverage sentinel of the array's dtype
+    (NaN for floats, Z_RANK for integers) is written as "Z"."""
+    values = np.asarray(values)
+    missing = np.isnan(values) if values.dtype.kind == "f" else values == Z_RANK
     lines = ["x_m,y_m,value"]
-    for (x, y), v in zip(positions, values):
-        if (isinstance(v, float) and np.isnan(v)) or v == Z_RANK:
+    for (x, y), v, z in zip(positions, values, missing):
+        if z:
             sval = "Z"
         elif float(v) == int(v):
             sval = str(int(v))
@@ -198,13 +220,32 @@ def rank_grid_from_json(text: str) -> RankGrid:
     import json
 
     d = json.loads(text)
-    return RankGrid(
-        positions=np.array(d["positions"], dtype=float),
-        altitudes_m=tuple(d["altitudes_m"]),
-        thresholds=tuple(d["thresholds"]),
-        ranks=np.array(d["ranks"], dtype=int),
-        serving_tower=np.array(d["serving_tower"], dtype=int),
+    if not isinstance(d, dict):
+        raise ValueError("rank grid must be a JSON object")
+    try:
+        rg = RankGrid(
+            positions=np.array(d["positions"], dtype=float),
+            altitudes_m=tuple(d["altitudes_m"]),
+            thresholds=tuple(d["thresholds"]),
+            ranks=np.array(d["ranks"], dtype=int),
+            serving_tower=np.array(d["serving_tower"], dtype=int),
+        )
+    except KeyError as e:
+        raise ValueError(f"rank grid missing key {e.args[0]!r}") from e
+    except TypeError as e:
+        raise ValueError(f"rank grid has a malformed field: {e}") from e
+    n_loc = rg.positions.shape[0] if rg.positions.ndim else 0
+    shapes = (
+        ("positions", rg.positions.shape, (n_loc, 2)),
+        ("ranks", rg.ranks.shape, (len(rg.altitudes_m), len(rg.thresholds), n_loc)),
+        ("serving_tower", rg.serving_tower.shape, (n_loc,)),
     )
+    for name, got, want in shapes:
+        if got != want:
+            raise ValueError(f"rank grid {name} has shape {got}, expected {want}")
+    if np.any(rg.ranks < Z_RANK):
+        raise ValueError(f"rank grid ranks must be >= {Z_RANK}")
+    return rg
 
 
 def grid_to_pgm(g: CoverageGrid, nx: int, ny: int,

@@ -5,11 +5,16 @@ buildings.  Mirroring the transmitter across one or two facets enumerates
 every candidate specular path up to reflection order 2; each candidate is
 validated by a forward occlusion test against all geometry.  Tree trunks
 block a path outright, canopies only attenuate.
+
+trace_paths traces one link, and that per-link code is the reference; given an
+array of receivers it returns the same paths for all of them as one
+struct-of-arrays PathTable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -366,14 +371,18 @@ def _reflect_once(facet: _Facet, src_image, target):
     return q
 
 
-def trace_paths(s: Scene, tx, rx, max_reflections: int = 2) -> list[RayPath]:
+def trace_paths(s: Scene, tx, rx, max_reflections: int = 2):
     """All unblocked specular paths from tx to rx up to the reflection cap.
 
-    Returns an empty list when the receiver is out of coverage.  Receiver
-    altitudes below 0.5 m are clamped to 0.5 m.
+    For one receiver point, returns a list of RayPath, empty when the
+    receiver is out of coverage.  For an (N, 3) array of receivers, returns
+    the same paths of all N links as one PathTable.  Receiver altitudes below
+    0.5 m are clamped to 0.5 m.
     """
     if max_reflections not in (0, 1, 2):
         raise ValueError(f"max_reflections must be 0, 1 or 2, got {max_reflections}")
+    if np.ndim(rx) == 2:
+        return _trace_grid(s, tx, rx, max_reflections)
     tx = np.asarray(tx, dtype=float)
     rx = np.asarray(rx, dtype=float).copy()
     rx[2] = max(rx[2], MIN_RX_ALTITUDE)
@@ -424,15 +433,433 @@ def trace_paths(s: Scene, tx, rx, max_reflections: int = 2) -> list[RayPath]:
     return paths
 
 
-def paths_to_csv(paths) -> str:
-    """Dump paths as CSV (kind, order, geometry, angles, complex gain)."""
-    lines = [
-        "kind,order,length_m,delay_s,aod_az,aod_el,aoa_az,aoa_el,gain_re,gain_im"
-    ]
-    for p in paths:
-        lines.append(
-            f"{p.kind},{p.order},{p.length:.9f},{p.delay:.12e},"
-            f"{p.aod[0]:.9f},{p.aod[1]:.9f},{p.aoa[0]:.9f},{p.aoa[1]:.9f},"
-            f"{p.gain.real:.9e},{p.gain.imag:.9e}"
-        )
-    return "\n".join(lines) + "\n"
+# ---------------------------------------------------------------------------
+# Receiver-batched tracing
+#
+# The same enumeration, occlusion and gain as trace_paths, solved as numpy
+# arrays over many receivers at once.  Every formula repeats the scalar
+# operation order, and dot products go through np.matmul so that they use the
+# same BLAS kernel as the scalar `@` and np.linalg.norm: the results are
+# bit-identical to trace_paths, which the tests use as the oracle.
+# ---------------------------------------------------------------------------
+
+# Elements per (candidate x receiver) and (segment x obstacle) block; bounds
+# the temporaries of one block to about 64 kB per float array.
+_BLOCK = 1 << 13
+# Elements a receiver adds to a block besides its candidates: its own point,
+# LOS segment, angles and gains, which dominate when a scene has few facets.
+_RX_ELEMENTS = 16
+
+
+class PathRow(NamedTuple):
+    """One path of a PathTable.  It carries the order, aod, aoa and gain of a
+    RayPath, so the per-link channel functions accept a list of rows."""
+
+    cell: int
+    order: int
+    aod: tuple[float, float]
+    aoa: tuple[float, float]
+    gain: complex
+
+
+@dataclass(frozen=True)
+class PathTable:
+    """Struct-of-arrays specular paths of many links.
+
+    Rows are grouped by receiver (`cell` indexes the receiver list) and, for
+    each receiver, ordered as trace_paths returns them: LOS, then first order
+    by facet index, then second order by facet pair.  len() is the number of
+    paths; iterating yields PathRow records.
+    """
+
+    cell: np.ndarray  # (P,) int
+    order: np.ndarray  # (P,) int
+    aod: np.ndarray  # (P, 2) azimuth, elevation of departure
+    aoa: np.ndarray  # (P, 2) azimuth, elevation of arrival
+    gain: np.ndarray  # (P,) complex
+
+    def __len__(self) -> int:
+        return len(self.cell)
+
+    def __iter__(self):
+        cols = (self.cell.tolist(), self.order.tolist(), map(tuple, self.aod.tolist()),
+                map(tuple, self.aoa.tolist()), self.gain.tolist())
+        return (PathRow(*row) for row in zip(*cols))
+
+    def links(self, lo: int, hi: int) -> PathTable:
+        """The rows of links lo .. hi - 1, with `cell` counted from lo."""
+        a, b = np.searchsorted(self.cell, (lo, hi))
+        return PathTable(self.cell[a:b] - lo, self.order[a:b], self.aod[a:b],
+                         self.aoa[a:b], self.gain[a:b])
+
+
+class _FacetArrays(NamedTuple):
+    axis: np.ndarray  # (F,) constant coordinate
+    value: np.ndarray
+    sign: np.ndarray
+    others: np.ndarray  # (F, 2) the in-plane axes, ascending
+    lo: np.ndarray  # (F, 3) bounding box; +-inf for the infinite ground
+    hi: np.ndarray
+    eps: np.ndarray  # (F,) complex relative permittivity
+    tm: np.ndarray  # (F,) bool: TM polarization (horizontal facet)
+
+
+def _facet_arrays(s: Scene) -> _FacetArrays:
+    facets = scene_facets(s)
+    eps = {m: permittivity(m, s.frequency_hz) for m in {f.material for f in facets}}
+    axis = np.array([f.axis for f in facets])
+    value = np.array([f.value for f in facets], dtype=float)
+    others = np.array([[i for i in range(3) if i != a] for a in axis]).reshape(-1, 2)
+    rows = np.arange(len(facets))[:, None]
+    infinite = np.array([[f.infinite] for f in facets])
+    lo = np.empty((len(facets), 3))
+    hi = np.empty_like(lo)
+    lo[rows, others] = np.where(infinite, -np.inf, [f.lo for f in facets])
+    hi[rows, others] = np.where(infinite, np.inf, [f.hi for f in facets])
+    lo[rows[:, 0], axis] = hi[rows[:, 0], axis] = value
+    return _FacetArrays(axis=axis, value=value, sign=np.array([f.sign for f in facets]),
+                        others=others, lo=lo, hi=hi,
+                        eps=np.array([eps[f.material] for f in facets], dtype=complex),
+                        tm=axis == 2)
+
+
+class _ImageTree(NamedTuple):
+    """Images of one transmitter, in trace_paths enumeration order."""
+
+    order: np.ndarray  # (C,) 1 or 2
+    first: np.ndarray  # (C,) facet next to tx (order 2), else -1
+    last: np.ndarray  # (C,) facet next to rx
+    img: np.ndarray  # (C, 3) tx mirrored in every facet of the path
+    img1: np.ndarray  # (C, 3) tx mirrored in `first` (order 2)
+
+
+def _mirror(fa: _FacetArrays, f, p):
+    q = p.copy()
+    rows = np.arange(len(q))
+    q[rows, fa.axis[f]] = 2.0 * fa.value[f] - q[rows, fa.axis[f]]
+    return q
+
+
+def _facing(fa: _FacetArrays, f, g):
+    """False where no point of facet f lies in front of facet g.
+
+    Points count within a margin well beyond the containment tolerance, so
+    the test never drops a pair that the scalar enumeration accepts.
+    """
+    a = fa.axis[g]
+    best = np.where(fa.sign[g] > 0, fa.hi[f, a] + 1e-6, fa.lo[f, a] - 1e-6)
+    return fa.sign[g] * (best - fa.value[g]) > POINT_TOL
+
+
+def _image_tree(fa: _FacetArrays, tx, max_reflections: int) -> _ImageTree:
+    n = len(fa.axis)
+    front = np.nonzero(fa.sign * (tx[fa.axis] - fa.value) > POINT_TOL)[0]
+    if max_reflections == 0:
+        front = front[:0]
+    img1 = _mirror(fa, front, np.tile(tx, (len(front), 1)))
+    i = np.repeat(np.arange(len(front)), n)
+    j = np.tile(np.arange(n), len(front))
+    # a second-order path needs q1 in front of facet j and q2 in front of
+    # facet i, so facet pairs that never face each other are dropped
+    keep = (j != front[i]) & _facing(fa, front[i], j) & _facing(fa, j, front[i])
+    if max_reflections < 2:
+        keep[:] = False
+    i, j = i[keep], j[keep]
+    return _ImageTree(
+        order=np.concatenate([np.ones(len(front), int), np.full(len(j), 2)]),
+        first=np.concatenate([np.full(len(front), -1), front[i]]),
+        last=np.concatenate([front, j]),
+        img=np.concatenate([img1, _mirror(fa, j, img1[i])]),
+        img1=np.concatenate([img1, img1[i]]),
+    )
+
+
+def _contains(fa: _FacetArrays, f, q):
+    # q lies on the facet plane exactly, so only the in-plane bounds can fail
+    return np.all((q >= fa.lo[f] - POINT_TOL) & (q <= fa.hi[f] + POINT_TOL), axis=1)
+
+
+def _front_of(fa: _FacetArrays, f, p):
+    return fa.sign[f] * (p[np.arange(len(p)), fa.axis[f]] - fa.value[f]) > POINT_TOL
+
+
+def _reflect(fa: _FacetArrays, f, src, target):
+    """_reflect_once per row: (ok, reflection point)."""
+    rows = np.arange(len(f))
+    a = fa.axis[f]
+    s_a = src[rows, a]
+    denom = target[rows, a] - s_a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (fa.value[f] - s_a) / denom
+    ok = (np.abs(denom) >= 1e-15) & (POINT_TOL < t) & (t < 1.0 - POINT_TOL)
+    q = src + t[:, None] * (target - src)
+    q[rows, a] = fa.value[f]
+    return ok & _contains(fa, f, q), q
+
+
+def row_dot(a, b):
+    """Row-wise dot product through the BLAS kernel of the scalar `@`."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+class _Obstacles(NamedTuple):
+    box_lo: np.ndarray  # (B, 3) box corners shrunk by GRAZE_TOL
+    box_hi: np.ndarray
+    box_ok: np.ndarray  # (B,) False for boxes thinner than 2 * GRAZE_TOL
+    tree_xy: np.ndarray  # (T, 2)
+    reach: np.ndarray  # (T,) horizontal reach of trunk and canopy
+    trunk_r: np.ndarray
+    trunk_h: np.ndarray
+    z_apex: np.ndarray
+    k: np.ndarray  # canopy radius per metre below the apex
+    att: np.ndarray  # dB/m
+
+
+def _obstacles(s: Scene) -> _Obstacles:
+    b, t = s.buildings, s.trees
+    lo = np.array([[x.x, x.y, 0.0] for x in b], dtype=float).reshape(-1, 3) + GRAZE_TOL
+    hi = np.array([[x.x + x.w, x.y + x.h, x.height] for x in b],
+                  dtype=float).reshape(-1, 3) - GRAZE_TOL
+    return _Obstacles(
+        box_lo=lo, box_hi=hi, box_ok=~np.any(lo >= hi, axis=1),
+        tree_xy=np.array([[x.x, x.y] for x in t], dtype=float).reshape(-1, 2),
+        reach=np.array([max(x.trunk_radius, x.canopy_base_radius) for x in t], dtype=float),
+        trunk_r=np.array([x.trunk_radius for x in t], dtype=float),
+        trunk_h=np.array([x.trunk_height for x in t], dtype=float),
+        z_apex=np.array([x.trunk_height + x.canopy_height for x in t], dtype=float),
+        k=np.array([x.canopy_base_radius / x.canopy_height for x in t], dtype=float),
+        att=np.array([x.attenuation_db_per_m for x in t], dtype=float),
+    )
+
+
+def _boxes_block(ob: _Obstacles, p0, d, seg_len):
+    """_segment_box_blocked of each segment against every box: any hit."""
+    if len(ob.box_lo) == 0:
+        return np.zeros(len(p0), dtype=bool)
+    tmin = np.zeros((len(p0), len(ob.box_lo)))
+    tmax = np.ones_like(tmin)
+    alive = np.broadcast_to(ob.box_ok, tmin.shape).copy()
+    for i in range(3):
+        p, di = p0[:, i:i + 1], d[:, i:i + 1]
+        lo, hi = ob.box_lo[:, i], ob.box_hi[:, i]
+        par = np.abs(di) < 1e-15
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta = (lo - p) / di
+            tb = (hi - p) / di
+        alive &= ~par | ((p >= lo) & (p <= hi))
+        tmin = np.where(par, tmin, np.maximum(tmin, np.minimum(ta, tb)))
+        tmax = np.where(par, tmax, np.minimum(tmax, np.maximum(ta, tb)))
+    alive &= tmin < tmax
+    return np.any(alive & ((tmax - tmin) * seg_len[:, None] > GRAZE_TOL), axis=1)
+
+
+def _chord_fraction(A, B, C, z0, dz, zlo, zhi):
+    """Total length, in units of the segment parameter t, of
+    _clip_intervals(_quad_le0_interval(A, B, C), z-range within [0, 1])."""
+    inf = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lin = np.abs(A) < 1e-15
+        flat = np.abs(B) < 1e-15
+        t = -C / B
+        disc = B * B - 4 * A * C
+        root = np.sqrt(disc)
+        r1 = (-B - root) / (2 * A)
+        r2 = (-B + root) / (2 * A)
+        t1, t2 = np.minimum(r1, r2), np.maximum(r1, r2)
+        # two intervals per row; an absent one is (inf, -inf)
+        all_t = (lin & flat & (C <= 0)) | (~lin & (disc <= 0) & (A <= 0))
+        bowl = ~lin & (disc > 0) & (A > 0)
+        cap = ~lin & (disc > 0) & (A <= 0)
+        line = lin & ~flat
+        a1 = np.select([all_t, line & (B > 0), line, bowl, cap], [-inf, -inf, t, t1, -inf], inf)
+        b1 = np.select([all_t, line & (B > 0), line, bowl, cap], [inf, t, inf, t2, t1], -inf)
+        a2 = np.where(cap, t2, inf)
+        b2 = np.where(cap, inf, -inf)
+
+        zflat = np.abs(dz) < 1e-15
+        za = (zlo - z0) / dz
+        zb = (zhi - z0) / dz
+    lo = np.where(zflat, 0.0, np.maximum(0.0, np.minimum(za, zb)))
+    hi = np.where(zflat, 1.0, np.minimum(1.0, np.maximum(za, zb)))
+    total = np.zeros(len(A))
+    for a, b in ((a1, b1), (a2, b2)):
+        a, b = np.maximum(a, lo), np.minimum(b, hi)
+        total = total + np.where(b > a, b - a, 0.0)
+    z_in = ~zflat | ((zlo <= z0) & (z0 <= zhi))
+    return np.where(z_in, total, 0.0)
+
+
+def _tree_terms(ob: _Obstacles, p0, p1, d, seg_len):
+    """(trunk blocked, canopy loss in dB) of each segment, as foliage_loss
+    and _segment_clear compute them."""
+    blocked = np.zeros(len(p0), dtype=bool)
+    loss = np.zeros(len(p0))
+    if len(ob.reach) == 0:
+        return blocked, loss
+    # A tree outside the horizontal bounding box of a segment, grown by its
+    # reach, can neither block nor attenuate it.
+    m = ob.reach + 1e-3
+    lo = np.minimum(p0[:, :2], p1[:, :2])
+    hi = np.maximum(p0[:, :2], p1[:, :2])
+    near = np.all((ob.tree_xy + m[:, None] >= lo[:, None, :])
+                  & (ob.tree_xy - m[:, None] <= hi[:, None, :]), axis=2)
+    si, ti = np.nonzero(near)
+    if len(si) == 0:
+        return blocked, loss
+    q0, dd, length = p0[si], d[si], seg_len[si]
+    u0 = q0[:, :2] - ob.tree_xy[ti]
+    du = dd[:, :2]
+    dudu, u0du, u0u0 = row_dot(du, du), row_dot(u0, du), row_dot(u0, u0)
+    z0, dz = q0[:, 2], dd[:, 2]
+    has_len = length >= 1e-15
+
+    r = ob.trunk_r[ti] - GRAZE_TOL
+    chord = _chord_fraction(dudu, 2.0 * u0du, u0u0 - r * r, z0, dz,
+                            GRAZE_TOL, ob.trunk_h[ti] - GRAZE_TOL) * length
+    blocked[si[has_len & (r > 0) & (chord > GRAZE_TOL)]] = True
+
+    k, w0 = ob.k[ti], ob.z_apex[ti] - z0
+    A = dudu - k * k * dz * dz
+    B = 2.0 * u0du + 2.0 * k * k * w0 * dz
+    C = u0u0 - k * k * w0 * w0
+    chord = _chord_fraction(A, B, C, z0, dz, ob.trunk_h[ti], ob.z_apex[ti]) * length
+    per_tree = np.zeros((len(p0), len(ob.reach)))
+    per_tree[si, ti] = np.where(has_len, chord, 0.0) * ob.att[ti]
+    for col in per_tree.T:  # summed in tree order, as foliage_loss does
+        loss += col
+    return blocked, loss
+
+
+def _segment_terms(ob: _Obstacles, p0, p1):
+    """(length, unit direction, blocked, foliage dB) of each segment."""
+    d = p1 - p0
+    seg_len = np.sqrt(row_dot(d, d))
+    blocked = np.zeros(len(p0), dtype=bool)
+    loss = np.zeros(len(p0))
+    step = max(1, _BLOCK // max(1, len(ob.box_lo), len(ob.reach)))
+    for k in range(0, len(p0), step):
+        sl = slice(k, k + step)
+        trunk, loss[sl] = _tree_terms(ob, p0[sl], p1[sl], d[sl], seg_len[sl])
+        blocked[sl] = trunk | _boxes_block(ob, p0[sl], d[sl], seg_len[sl])
+    return seg_len, d / seg_len[:, None], blocked, loss
+
+
+def _angles_of(u):
+    return np.column_stack([np.arctan2(u[:, 1], u[:, 0]),
+                            np.arcsin(np.clip(u[:, 2], -1.0, 1.0))])
+
+
+def _gains(s: Scene, fa: _FacetArrays, length, foliage_db, bounces):
+    """path_gain per row; `bounces` is [(facet, incoming unit direction)]."""
+    lam = s.wavelength_m
+    gr = lam / (4.0 * np.pi * length)
+    gi = np.zeros_like(gr)
+    for f, u in bounces:
+        angle = np.arccos(np.clip(np.abs(u[np.arange(len(f)), fa.axis[f]]), 0.0, 1.0))
+        cos_t = np.cos(angle)
+        # np.float64 ** 2 is libm pow, which the array square differs from in
+        # the last bit now and then
+        sin2 = np.array([x ** 2 for x in np.sin(angle)])
+        eps = fa.eps[f]
+        g = np.sqrt(eps - sin2)
+        r = np.where(fa.tm[f], (g - eps * cos_t) / (g + eps * cos_t),
+                     (cos_t - g) / (cos_t + g))
+        # Python's complex product, which unlike numpy's never fuses a multiply-add
+        gr, gi = gr * r.real - gi * r.imag, gr * r.imag + gi * r.real
+    fol = np.array([10.0 ** x for x in (-foliage_db / 20.0).tolist()])  # libm pow too
+    gr, gi = gr * fol, gi * fol
+    phase = np.zeros(len(length), dtype=complex)
+    phase.imag = -2.0 * np.pi * length / lam
+    phase = np.exp(phase)
+    gain = np.empty(len(length), dtype=complex)
+    gain.real = gr * phase.real - gi * phase.imag
+    gain.imag = gr * phase.imag + gi * phase.real
+    return gain
+
+
+def _trace_block(s, fa, tree, ob, tx, rx):
+    """PathTable rows of one block of receivers, plus each row's candidate."""
+    n_rx = len(rx)
+    front_rx = fa.sign[:, None] * (rx[:, fa.axis].T - fa.value[:, None]) > POINT_TOL
+
+    # last bounce toward every receiver, one coordinate at a time so that only
+    # the candidates that hit their facet get a reflection point
+    last, rows = tree.last, np.arange(len(tree.last))
+    a = fa.axis[last]
+    s_a = tree.img[rows, a]
+    denom = rx.T[a] - s_a[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (fa.value[last] - s_a)[:, None] / denom
+    ok = front_rx[last] & (np.abs(denom) >= 1e-15) & (POINT_TOL < t) & (t < 1.0 - POINT_TOL)
+    for k in range(2):
+        o = fa.others[last, k]
+        s_o = tree.img[rows, o][:, None]
+        p = s_o + t * (rx.T[o] - s_o)
+        ok &= (p >= fa.lo[last, o, None] - POINT_TOL) & (p <= fa.hi[last, o, None] + POINT_TOL)
+    c, r = np.nonzero(ok)
+    # the reflection points of the survivors, from the same t
+    q = tree.img[c] + t[c, r][:, None] * (rx[r] - tree.img[c])
+    q[np.arange(len(c)), a[c]] = fa.value[last[c]]
+
+    # the first bounce of second-order candidates
+    two = tree.order[c] == 2
+    c2, r2, q2 = c[two], r[two], q[two]
+    f1, f2 = tree.first[c2], tree.last[c2]
+    ok, q1 = _reflect(fa, f1, tree.img1[c2], q2)
+    ok &= _front_of(fa, f1, q2) & _front_of(fa, f2, q1)
+    c2, r2, q1, q2 = c2[ok], r2[ok], q1[ok], q2[ok]
+    c1, r1, q = c[~two], r[~two], q[~two]
+
+    # (receiver, candidate, vertices, facets hit) per order; LOS is candidate -1
+    groups = (
+        (np.arange(n_rx), np.full(n_rx, -1), [np.broadcast_to(tx, rx.shape), rx], []),
+        (r1, c1, [np.broadcast_to(tx, q.shape), q, rx[r1]], [tree.last[c1]]),
+        (r2, c2, [np.broadcast_to(tx, q1.shape), q1, q2, rx[r2]],
+         [tree.first[c2], tree.last[c2]]),
+    )
+    p0 = np.concatenate([v for g in groups for v in g[2][:-1]])
+    p1 = np.concatenate([v for g in groups for v in g[2][1:]])
+    seg_len, unit, blocked, loss = _segment_terms(ob, p0, p1)
+
+    out, start = [], 0
+    for order, (rcv, cand, verts, facets) in enumerate(groups):
+        n = len(rcv)
+        segs = [slice(start + k * n, start + (k + 1) * n) for k in range(order + 1)]
+        start += n * (order + 1)
+        length, fol, valid = 0, 0.0, np.ones(n, dtype=bool)
+        for sl in segs:
+            length = length + seg_len[sl]
+            fol = fol + loss[sl]
+            valid &= ~blocked[sl]
+        bounces = [(f[valid], unit[sl][valid]) for f, sl in zip(facets, segs)]
+        length, fol = length[valid], fol[valid]
+        out.append((rcv[valid], cand[valid], np.full(len(length), order),
+                    _angles_of(unit[segs[0]][valid]), _angles_of(unit[segs[-1]][valid]),
+                    _gains(s, fa, length, fol, bounces)))
+    cols = [np.concatenate(col) for col in zip(*out)]
+    return cols[0], cols[1], cols[2:]
+
+
+def _trace_grid(s: Scene, tx, rx_points, max_reflections: int) -> PathTable:
+    """trace_paths from one transmitter to many receivers, as one PathTable.
+
+    `rx_points` is an (N, 3) array; row i of the receivers is `cell` i of the
+    table.  The facet arrays and the image tree of tx are built once and
+    solved for blocks of receivers at a time.
+    """
+    tx = np.asarray(tx, dtype=float)
+    rx = np.array(rx_points, dtype=float).reshape(-1, 3)
+    rx[:, 2] = np.maximum(rx[:, 2], MIN_RX_ALTITUDE)
+    if np.any(np.all(np.isclose(tx, rx), axis=1)):
+        raise ValueError("tx and rx must be distinct points")
+
+    fa = _facet_arrays(s)
+    tree = _image_tree(fa, tx, max_reflections)
+    ob = _obstacles(s)
+    step = max(1, _BLOCK // (len(tree.order) + _RX_ELEMENTS))
+    parts = []
+    for k in range(0, len(rx), step) or [0]:
+        cell, cand, cols = _trace_block(s, fa, tree, ob, tx, rx[k:k + step])
+        keep = np.lexsort((cand, cell))
+        parts.append([cell[keep] + k] + [col[keep] for col in cols])
+    return PathTable(*[np.concatenate(col) for col in zip(*parts)])

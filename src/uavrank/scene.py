@@ -243,6 +243,17 @@ def _parse_array(obj: dict | None) -> ArrayConfig:
     )
 
 
+def _objects(doc: dict, key: str) -> list[dict]:
+    """The list of JSON objects under `key` (empty when absent)."""
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise SceneError(f"{key} must be a JSON array")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise SceneError(f"{key}[{i}] must be a JSON object")
+    return items
+
+
 def load_scene(text: str) -> Scene:
     """Parse and validate a JSON scene document."""
     try:
@@ -253,7 +264,7 @@ def load_scene(text: str) -> Scene:
         raise SceneError("scene document must be a JSON object")
 
     materials = dict(BUILTIN_MATERIALS)
-    for mobj in doc.get("materials", []):
+    for mobj in _objects(doc, "materials"):
         m = _parse_material(mobj)
         materials[m.name] = m
 
@@ -266,7 +277,7 @@ def load_scene(text: str) -> Scene:
     ground = resolve(ground_name, "ground_material")
 
     buildings = []
-    for i, b in enumerate(doc.get("buildings", [])):
+    for i, b in enumerate(_objects(doc, "buildings")):
         try:
             buildings.append(
                 Building(
@@ -282,7 +293,7 @@ def load_scene(text: str) -> Scene:
             raise SceneError(f"buildings[{i}] missing field {e.args[0]!r}") from e
 
     trees = []
-    for i, t in enumerate(doc.get("trees", [])):
+    for i, t in enumerate(_objects(doc, "trees")):
         try:
             trees.append(
                 Tree(
@@ -299,7 +310,7 @@ def load_scene(text: str) -> Scene:
             raise SceneError(f"trees[{i}] missing field {e.args[0]!r}") from e
 
     towers = []
-    for i, t in enumerate(doc.get("towers", [])):
+    for i, t in enumerate(_objects(doc, "towers")):
         try:
             towers.append(
                 Tower(

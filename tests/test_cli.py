@@ -154,3 +154,47 @@ class TestCalibrate:
                    "--simulated", str(tmp_path / "nope2.csv"),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
+
+
+class TestMalformedArtifacts:
+    """Malformed inputs end in exit 2 with a one-line message."""
+
+    GRID = {
+        "positions": [[0.0, 0.0], [30.0, 0.0]],
+        "altitudes_m": [30.0],
+        "thresholds": [10.0],
+        "ranks": [[[1, 2]]],
+        "serving_tower": [1, 1],
+    }
+
+    def _assert_input_error(self, rc, capsys, text):
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == EXIT_INPUT
+        assert len(err) == 1 and err[0].startswith("error:") and text in err[0]
+
+    @pytest.mark.parametrize("field, value, text", [
+        ("ranks", [[[1, 2, 3]]], "ranks has shape"),
+        ("positions", [[0.0, 0.0, 0.0], [30.0, 0.0, 0.0]], "positions has shape"),
+        ("serving_tower", [1], "serving_tower has shape"),
+        ("ranks", [[[1, -2]]], "ranks must be >= -1"),
+    ])
+    def test_inconsistent_rank_grid(self, tmp_path, capsys, field, value, text):
+        grid = dict(self.GRID, **{field: value})
+        (tmp_path / "rank_grid.json").write_text(json.dumps(grid))
+        rc = main(["fit", "--rank-grid", str(tmp_path), "--out", str(tmp_path / "fit")])
+        self._assert_input_error(rc, capsys, text)
+
+    def test_model_missing_key(self, tmp_path, capsys):
+        synth_out = tmp_path / "synth"
+        main(["synth", "--out", str(synth_out), "--nx", "5", "--ny", "5", "--spacing", "30"])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"c1": 0.3, "c2": -0.05, "c3": 0.7, "rmse": 0.0}))
+        rc = main(["interpolate", "--rank-grid", str(synth_out), "--model", str(model),
+                   "--out", str(tmp_path / "o")])
+        self._assert_input_error(rc, capsys, "missing key 'c4'")
+
+    def test_scene_buildings_object(self, tmp_path, capsys):
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps({"buildings": {"x": 0}, "towers": []}))
+        rc = main(["coverage", "--scene", str(bad), "--out", str(tmp_path / "o")])
+        self._assert_input_error(rc, capsys, "buildings must be a JSON array")

@@ -184,6 +184,11 @@ class TestCsvExport:
         assert lines[1].endswith(",Z")
         assert lines[2].endswith(",3")
 
+    def test_sentinel_follows_dtype(self):
+        # -1.0 dBm is a covered float cell; only integer arrays use Z_RANK
+        assert grid_to_csv([[0, 0]], [-1.0]).splitlines()[1] == "0.000,0.000,-1"
+        assert grid_to_csv([[0, 0]], [Z_RANK]).splitlines()[1] == "0.000,0.000,Z"
+
     def test_float_formatting(self):
         text = grid_to_csv(np.array([[0.0, 0.0]]), np.array([-55.5]))
         assert text.splitlines()[1] == "0.000,0.000,-55.500000"
