@@ -27,7 +27,6 @@ from .channel import (
     OutOfCoverageError,
     channel_rank,
     rss,
-    singular_values,
     steering_vector,
     synthesize_channel,
 )
@@ -45,17 +44,14 @@ from .correlation import (
     build_rank_vectors,
     evaluate_model,
     fit_biexponential,
-    pearson,
 )
 from .kriging import (
     KrigingConfig,
     KrigingSolution,
     krige_rank,
-    rank_variance,
-    semivariogram,
     solve_weights,
 )
-from .baseline import IndexedSamples, baseline_rank, makima_interp, spline_interp
+from .baseline import baseline_rank
 from .evaluate import (
     MAEReport,
     Trace,

@@ -6,60 +6,35 @@ ignoring 2D geometry; adjacent indices may be 30 m or a full grid row apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.interpolate import Akima1DInterpolator, CubicSpline
 
 
-@dataclass(frozen=True)
-class IndexedSamples:
-    indices: np.ndarray  # strictly increasing integer grid indices
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices)
-        val = np.asarray(self.values, dtype=float)
-        if len(idx) != len(val):
-            raise ValueError("indices and values must have equal length")
-        if len(idx) > 1 and np.any(np.diff(idx) <= 0):
-            raise ValueError("indices must be strictly increasing")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-
-
-def spline_interp(s: IndexedSamples, x0: float) -> float:
-    """Natural cubic spline through the samples, evaluated at x0.
-
-    Outside the sampled index range the boundary cubic is extended.
-    """
-    if len(s.indices) < 2:
-        raise ValueError("spline interpolation needs at least 2 samples")
-    cs = CubicSpline(s.indices, s.values, bc_type="natural", extrapolate=True)
-    return float(cs(x0))
-
-
-def makima_interp(s: IndexedSamples, x0: float) -> float:
-    """Modified-Akima cubic Hermite interpolation evaluated at x0."""
-    if len(s.indices) < 2:
-        raise ValueError("makima interpolation needs at least 2 samples")
-    if len(s.indices) == 2:
-        # degenerate to linear, matching the spline's 2-point behavior
-        x, y = s.indices, s.values
-        t = (x0 - x[0]) / (x[1] - x[0])
-        return float(y[0] + t * (y[1] - y[0]))
-    ak = Akima1DInterpolator(s.indices, s.values, method="makima", extrapolate=True)
-    return float(ak(x0))
-
-
 def baseline_rank(target_index: float, indices, values, method: str) -> float:
-    """Interpolate the rank at a grid index from sampled (index, rank) pairs."""
-    order = np.argsort(np.asarray(indices))
-    s = IndexedSamples(np.asarray(indices)[order], np.asarray(values, dtype=float)[order])
-    if len(s.indices) < 2:
+    """Interpolate the rank at a grid index from sampled (index, rank) pairs.
+
+    "spline" is a natural cubic spline, "makima" modified-Akima cubic Hermite
+    interpolation (linear through 2 samples); outside the sampled index range
+    the boundary piece is extended.
+    """
+    indices = np.asarray(indices)
+    values = np.asarray(values, dtype=float)
+    if len(indices) != len(values):
+        raise ValueError("indices and values must have equal length")
+    if len(indices) < 2:
         raise ValueError("baseline interpolation needs at least 2 samples")
+    order = np.argsort(indices)
+    x, y = indices[order], values[order]
+    if np.any(np.diff(x) <= 0):
+        raise ValueError("indices must be distinct")
     if method == "spline":
-        return spline_interp(s, target_index)
+        cs = CubicSpline(x, y, bc_type="natural", extrapolate=True)
+        return float(cs(target_index))
     if method == "makima":
-        return makima_interp(s, target_index)
+        if len(x) == 2:
+            # degenerate to linear, matching the spline's 2-point behavior
+            t = (target_index - x[0]) / (x[1] - x[0])
+            return float(y[0] + t * (y[1] - y[0]))
+        ak = Akima1DInterpolator(x, y, method="makima", extrapolate=True)
+        return float(ak(target_index))
     raise ValueError(f"unknown baseline method {method!r}")

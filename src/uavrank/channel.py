@@ -46,7 +46,7 @@ def steering_vector(a: ArrayConfig, direction, wavelength_m: float) -> np.ndarra
 
 
 def synthesize_channel(paths, tx: ArrayConfig, rx: ArrayConfig,
-                       wavelength_m: float, frequency_hz: float | None = None) -> ChannelMatrix:
+                       wavelength_m: float) -> ChannelMatrix:
     """Sum of gain-weighted steering outer products over all paths.
 
     Plane-wave approximation across the arrays: every path contributes
@@ -60,46 +60,32 @@ def synthesize_channel(paths, tx: ArrayConfig, rx: ArrayConfig,
         a_tx = steering_vector(tx, _direction(*p.aod), wavelength_m)
         a_rx = steering_vector(rx, _direction(*p.aoa), wavelength_m)
         h += p.gain * np.outer(a_rx, a_tx.conj())
-    if frequency_hz is None:
-        frequency_hz = 299_792_458.0 / wavelength_m
-    return ChannelMatrix(entries=h, frequency_hz=frequency_hz)
-
-
-def singular_values(h: ChannelMatrix) -> np.ndarray:
-    """Singular values of the channel matrix in descending order."""
-    return np.linalg.svd(h.entries, compute_uv=False)
+    return ChannelMatrix(entries=h, frequency_hz=299_792_458.0 / wavelength_m)
 
 
 def channel_rank(h: ChannelMatrix, K: float) -> int:
     """Number of singular values strictly above sigma_1 / K."""
     if K <= 1:
         raise ValueError(f"threshold ratio K must be > 1, got {K}")
-    sv = singular_values(h)
+    sv = np.linalg.svd(h.entries, compute_uv=False)  # descending
     if sv[0] == 0:
         raise ValueError("rank undefined for an all-zero channel matrix")
     return int(np.sum(sv > sv[0] / K))
 
 
 def rss(paths, tx: ArrayConfig, rx: ArrayConfig, tx_power_w: float,
-        wavelength_m: float, weights: str = "uniform") -> float:
+        wavelength_m: float) -> float:
     """Received signal strength in dBm.
 
-    MIMO uses a fixed transmit beam and reports the per-receive-element
-    average power; with single-element arrays this reduces exactly to the
-    SISO coherent path sum.  `weights` selects the transmit beam: "uniform"
-    (co-phased broadside) or "mrt" (matched to the channel).
+    MIMO uses a fixed co-phased broadside transmit beam and reports the
+    per-receive-element average power; with single-element arrays this
+    reduces exactly to the SISO coherent path sum.
     """
     paths = list(paths)
     if not paths:
         raise OutOfCoverageError("no propagation paths: receiver out of coverage")
     h = synthesize_channel(paths, tx, rx, wavelength_m).entries
-    if weights == "uniform":
-        w = np.ones(tx.elements) / np.sqrt(tx.elements)
-    elif weights == "mrt":
-        _, _, vh = np.linalg.svd(h)
-        w = vh[0].conj()
-    else:
-        raise ValueError(f"unknown weight mode {weights!r}")
+    w = np.ones(tx.elements) / np.sqrt(tx.elements)
     p_rx = tx_power_w * float(np.linalg.norm(h @ w) ** 2) / rx.elements
     if p_rx == 0.0:
         return -np.inf

@@ -8,7 +8,10 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -67,15 +70,26 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+def _parse_floats(text: str, option: str) -> tuple[float, ...]:
+    """Comma-separated values of --altitudes (finite, > 0, strictly
+    increasing) or --thresholds (finite, > 1, distinct)."""
+    values = tuple(float(x) for x in text.split(","))
+    if not all(np.isfinite(values)):
+        raise InputError(f"{option} must be finite, got {text}")
+    if option == "--altitudes":
+        if values[0] <= 0 or any(b <= a for a, b in zip(values, values[1:])):
+            raise InputError(f"--altitudes must be > 0 and strictly increasing, got {text}")
+    elif min(values) <= 1 or len(set(values)) != len(values):
+        raise InputError(f"--thresholds must be > 1 and distinct, got {text}")
+    return values
 
 
 def cmd_coverage(args) -> int:
     scene = _read_scene(args.scene)
     if not scene.towers:
         raise InputError("scene has no towers")
-    altitudes = _parse_floats(args.altitudes) if args.altitudes else DEFAULT_RSS_ALTITUDES
+    altitudes = (_parse_floats(args.altitudes, "--altitudes") if args.altitudes
+                 else DEFAULT_RSS_ALTITUDES)
     out = _out_dir(args.out)
     artifacts = {}
     for h in altitudes:
@@ -103,8 +117,9 @@ def cmd_rank(args) -> int:
     scene = _read_scene(args.scene)
     if not scene.towers:
         raise InputError("scene has no towers")
-    altitudes = _parse_floats(args.altitudes) if args.altitudes else scene.altitudes_m
-    thresholds = _parse_floats(args.thresholds)
+    altitudes = (_parse_floats(args.altitudes, "--altitudes") if args.altitudes
+                 else scene.altitudes_m)
+    thresholds = _parse_floats(args.thresholds, "--thresholds")
     out = _out_dir(args.out)
     rg = compute_rank_grid(scene, thresholds=thresholds, altitudes_m=altitudes)
     artifacts = {"rank_grid.json": rank_grid_to_json(rg)}
@@ -172,12 +187,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    thresholds = _parse_floats(args.thresholds)
-    altitudes = (
-        _parse_floats(args.altitudes)
-        if args.altitudes
-        else tuple(np.arange(30.0, 111.0, 10.0))
-    )
+    thresholds = _parse_floats(args.thresholds, "--thresholds")
+    altitudes = (_parse_floats(args.altitudes, "--altitudes") if args.altitudes
+                 else tuple(np.arange(30.0, 111.0, 10.0)))
     model = CorrelationModel(c1=0.2932, c2=-0.0508, c3=0.7057, c4=-0.001, rmse=0.0)
     out = _out_dir(args.out)
     positions = synthetic_grid_positions(args.nx, args.ny, args.spacing)
@@ -205,14 +217,22 @@ def _read_rank_grid(path: str):
 
 
 def _write_all(out: Path, artifacts: dict) -> None:
-    # all inputs validated and results computed before the first write,
-    # so a failure never leaves partial artifacts behind
-    for name, content in artifacts.items():
-        path = out / name
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(content)
+    """Write every artifact or none: the files are written into a temporary
+    directory under `out` and only moved into place once all are written."""
+    for name in artifacts:
+        if (out / name).is_dir():
+            raise InputError(f"cannot write {out / name}: it is a directory")
+    tmp = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
+    try:
+        for name, content in artifacts.items():
+            if isinstance(content, bytes):
+                (tmp / name).write_bytes(content)
+            else:
+                (tmp / name).write_text(content)
+        for name in artifacts:
+            os.replace(tmp / name, out / name)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -51,13 +51,18 @@ class CorrelationModel:
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("correlation model must be a JSON object")
-        for key in ("c1", "c2", "c3", "c4", "rmse"):
+        d = {"max_distance_m": DEFAULT_MAX_DISTANCE_M, **d}
+        fields = {}
+        for key in ("c1", "c2", "c3", "c4", "rmse", "max_distance_m"):
             if key not in d:
                 raise ValueError(f"correlation model missing key {key!r}")
-        return cls(
-            c1=d["c1"], c2=d["c2"], c3=d["c3"], c4=d["c4"],
-            rmse=d["rmse"], max_distance_m=d.get("max_distance_m", DEFAULT_MAX_DISTANCE_M),
-        )
+            try:
+                fields[key] = float(d[key])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"correlation model key {key!r} is not a number: {d[key]!r}"
+                ) from None
+        return cls(**fields)
 
 
 def evaluate_model(coeffs, distance_m):
@@ -86,19 +91,6 @@ def build_rank_vectors(rg: RankGrid, z_policy: str = "exclude"):
     else:
         valid = ~np.any(stacked == Z_RANK, axis=1)
     return np.nonzero(valid)[0], stacked[valid].astype(float)
-
-
-def pearson(u, v) -> float:
-    """Sample Pearson correlation; raises on zero-variance input."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    du = u - u.mean()
-    dv = v - v.mean()
-    su = float(du @ du)
-    sv = float(dv @ dv)
-    if su == 0.0 or sv == 0.0:
-        raise ValueError("correlation undefined for a constant vector")
-    return float((du @ dv) / np.sqrt(su * sv))
 
 
 def bin_correlations(vectors, positions, d_rx: float,
@@ -145,7 +137,7 @@ def bin_correlations(vectors, positions, d_rx: float,
     return ns * d_rx, sums[present] / counts[present], counts[present]
 
 
-def fit_biexponential(distances, means, max_iter: int = 500):
+def fit_biexponential(distances, means):
     """Nonlinear least-squares fit of the bi-exponential model to binned data.
 
     Returns (c1, c2, c3, c4, rmse).
@@ -161,7 +153,7 @@ def fit_biexponential(distances, means, max_iter: int = 500):
         return evaluate_model(c, d) - phi
 
     sol = least_squares(residuals, x0, method="lm", xtol=1e-14, ftol=1e-14,
-                        gtol=1e-14, max_nfev=max_iter * 5)
+                        gtol=1e-14, max_nfev=2500)
     c = sol.x
     rmse = float(np.sqrt(np.mean(residuals(c) ** 2)))
     return float(c[0]), float(c[1]), float(c[2]), float(c[3]), rmse

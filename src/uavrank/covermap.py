@@ -6,7 +6,8 @@ with NaN in memory, the string "Z" in CSV exports, and byte 0 in PGM heatmaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,31 +56,19 @@ class RankGrid:
         return self.ranks[hi, ki]
 
 
-def _rx_array(mode: str, rx_array: ArrayConfig | None) -> ArrayConfig:
-    if mode == "SISO":
-        return ArrayConfig(elements=1)
-    if mode == "MIMO":
-        return rx_array if rx_array is not None else ArrayConfig()
-    raise ValueError(f"mode must be 'SISO' or 'MIMO', got {mode!r}")
-
-
-def _tx_array(mode: str, tower: Tower) -> ArrayConfig:
-    return ArrayConfig(elements=1) if mode == "SISO" else tower.array
-
-
 # Links whose channels are built and reduced together; bounds the channel
 # stack and the per-path temporaries of a block to a few tens of kB per array.
 _CHANNEL_BLOCK = 256
 
 
 def _sweep(s: Scene, tower: Tower, xy: np.ndarray, altitudes, tx_cfg: ArrayConfig,
-           rx_cfg: ArrayConfig, max_reflections: int, reduce, out: np.ndarray) -> None:
+           rx_cfg: ArrayConfig, reduce, out: np.ndarray) -> None:
     """Write reduce(channels) of every (altitude, cell) link from `tower`,
     altitude major, into the rows of `out`; the rows of links without a
     propagation path are left as they are."""
     rx = np.column_stack([np.tile(xy, (len(altitudes), 1)),
                           np.repeat(np.asarray(altitudes, dtype=float), len(xy))])
-    paths = trace_paths(s, tower.position, rx, max_reflections)
+    paths = trace_paths(s, tower.position, rx)
     for k in range(0, len(rx), _CHANNEL_BLOCK):
         block = paths.links(k, k + _CHANNEL_BLOCK)
         covered = np.unique(block.cell)
@@ -88,17 +77,21 @@ def _sweep(s: Scene, tower: Tower, xy: np.ndarray, altitudes, tx_cfg: ArrayConfi
         out[k + covered] = reduce(h[covered])
 
 
-def compute_coverage(s: Scene, tower: Tower, altitude_m: float, mode: str = "SISO",
-                     rx_array: ArrayConfig | None = None,
-                     max_reflections: int = 2) -> CoverageGrid:
-    """RSS over the scene grid for one tower at one receiver altitude."""
+def compute_coverage(s: Scene, tower: Tower, altitude_m: float,
+                     mode: str = "SISO") -> CoverageGrid:
+    """RSS over the scene grid for one tower at one receiver altitude; SISO
+    uses single elements, MIMO the tower's array and a default receive array."""
     if altitude_m <= 0:
         raise ValueError(f"altitude must be > 0, got {altitude_m}")
-    rx_cfg = _rx_array(mode, rx_array)
-    tx_cfg = _tx_array(mode, tower)
+    if mode == "SISO":
+        tx_cfg = rx_cfg = ArrayConfig(elements=1)
+    elif mode == "MIMO":
+        tx_cfg, rx_cfg = tower.array, ArrayConfig()
+    else:
+        raise ValueError(f"mode must be 'SISO' or 'MIMO', got {mode!r}")
     pos = grid_positions(s)
     values = np.full(len(pos), np.nan)
-    _sweep(s, tower, pos, (altitude_m,), tx_cfg, rx_cfg, max_reflections,
+    _sweep(s, tower, pos, (altitude_m,), tx_cfg, rx_cfg,
            lambda h: rss_dbm(h, tx_cfg, rx_cfg, s.tx_power_w), values)
     return CoverageGrid(tower.id, altitude_m, mode, pos, values)
 
@@ -149,22 +142,21 @@ def rss_cdf(g: CoverageGrid):
 
 
 def compute_rank_grid(s: Scene, thresholds=DEFAULT_THRESHOLD_RATIOS,
-                      altitudes_m=None, rx_array: ArrayConfig | None = None,
-                      max_reflections: int = 2) -> RankGrid:
+                      altitudes_m=None) -> RankGrid:
     """Thresholded channel rank per (altitude, K, grid cell), serving the
     nearest tower at each cell."""
     pos = grid_positions(s)
     altitudes = tuple(altitudes_m if altitudes_m is not None else s.altitudes_m)
     thresholds = tuple(thresholds)
     serving = nearest_tower_ids(s, pos)
-    rx_cfg = rx_array if rx_array is not None else ArrayConfig()
+    rx_cfg = ArrayConfig()
     ranks = np.full((len(altitudes), len(thresholds), len(pos)), Z_RANK, dtype=int)
     for tower in s.towers:
         cells = np.nonzero(serving == tower.id)[0]
         if len(cells) == 0:
             continue
         r = np.full((len(altitudes) * len(cells), len(thresholds)), Z_RANK)
-        _sweep(s, tower, pos[cells], altitudes, tower.array, rx_cfg, max_reflections,
+        _sweep(s, tower, pos[cells], altitudes, tower.array, rx_cfg,
                lambda h: channel_ranks(h, thresholds), r)
         r = r.reshape(len(altitudes), len(cells), len(thresholds))
         ranks[:, :, cells] = r.transpose(0, 2, 1)
@@ -202,8 +194,6 @@ def cdf_to_csv(points, blockage_fraction: float) -> str:
 
 def rank_grid_to_json(rg: RankGrid) -> str:
     """Machine-readable rank grid artifact for pipeline chaining."""
-    import json
-
     return json.dumps(
         {
             "positions": [[float(x), float(y)] for x, y in rg.positions],
@@ -217,16 +207,14 @@ def rank_grid_to_json(rg: RankGrid) -> str:
 
 
 def rank_grid_from_json(text: str) -> RankGrid:
-    import json
-
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("rank grid must be a JSON object")
     try:
         rg = RankGrid(
             positions=np.array(d["positions"], dtype=float),
-            altitudes_m=tuple(d["altitudes_m"]),
-            thresholds=tuple(d["thresholds"]),
+            altitudes_m=tuple(float(h) for h in d["altitudes_m"]),
+            thresholds=tuple(float(k) for k in d["thresholds"]),
             ranks=np.array(d["ranks"], dtype=int),
             serving_tower=np.array(d["serving_tower"], dtype=int),
         )
@@ -243,14 +231,17 @@ def rank_grid_from_json(text: str) -> RankGrid:
     for name, got, want in shapes:
         if got != want:
             raise ValueError(f"rank grid {name} has shape {got}, expected {want}")
+    for name, values in (("altitudes_m", rg.altitudes_m), ("thresholds", rg.thresholds)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"rank grid {name} has duplicate values")
     if np.any(rg.ranks < Z_RANK):
         raise ValueError(f"rank grid ranks must be >= {Z_RANK}")
     return rg
 
 
-def grid_to_pgm(g: CoverageGrid, nx: int, ny: int,
-                vmin: float = -120.0, vmax: float = -40.0) -> bytes:
-    """8-bit PGM heatmap scaled over [vmin, vmax] dBm; Z cells map to byte 0."""
+def grid_to_pgm(g: CoverageGrid, nx: int, ny: int) -> bytes:
+    """8-bit PGM heatmap scaled over [-120, -40] dBm; Z cells map to byte 0."""
+    vmin, vmax = -120.0, -40.0
     img = np.zeros((ny, nx), dtype=np.uint8)
     vals = g.values.reshape(ny, nx)
     mask = ~np.isnan(vals)

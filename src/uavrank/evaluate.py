@@ -25,9 +25,6 @@ class MAEReport:
     def mae(self, altitude_m: float, K: float) -> float:
         return self.entries[(altitude_m, K)][0]
 
-    def mean_mae(self) -> float:
-        return float(np.mean([v[0] for v in self.entries.values()]))
-
     def to_csv(self) -> str:
         lines = ["method,altitude_m,K,mae,cells"]
         for (h, K), (m, n) in sorted(self.entries.items()):
@@ -123,6 +120,8 @@ class Trace:
 
     @classmethod
     def from_csv(cls, text: str) -> "Trace":
+        if len(text.strip().splitlines()) < 2:
+            raise ValueError("trace CSV has no samples")
         rows = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
         rows = np.atleast_1d(rows)
         kind = rows.dtype.names[-1]

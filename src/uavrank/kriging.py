@@ -35,22 +35,6 @@ class KrigingSolution:
     fallback: bool = False  # True when a singular system forced nearest-neighbor
 
 
-def rank_variance(ranks_over_altitudes) -> float:
-    """Unbiased sample variance of the rank across altitudes at one column."""
-    r = np.asarray(ranks_over_altitudes, dtype=float)
-    if len(r) < 2:
-        raise ValueError("need at least 2 altitude samples for a variance")
-    return float(np.var(r, ddof=1))
-
-
-def semivariogram(model: CorrelationModel, v2: float, pi, pj) -> float:
-    """gamma = v^2 * (1 - correlation(horizontal distance)), clamped at 0."""
-    if v2 < 0:
-        raise ValueError(f"variance must be >= 0, got {v2}")
-    d = float(np.hypot(pi[0] - pj[0], pi[1] - pj[1]))
-    return max(0.0, v2 * (1.0 - model(d)))
-
-
 def _variogram_system(sample_xy: np.ndarray, target_xy: np.ndarray,
                       model: CorrelationModel, v2: float):
     m = len(sample_xy)

@@ -8,7 +8,7 @@ safe to share across workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -129,10 +129,6 @@ class Tree:
             if getattr(self, name) <= 0:
                 raise SceneError(f"tree {name} must be > 0")
 
-    @property
-    def total_height(self) -> float:
-        return self.trunk_height + self.canopy_height
-
 
 @dataclass(frozen=True)
 class Tower:
@@ -186,12 +182,6 @@ class Scene:
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.frequency_hz
 
-    def tower_by_id(self, tower_id: int) -> Tower:
-        for t in self.towers:
-            if t.id == tower_id:
-                return t
-        raise KeyError(f"no tower with id {tower_id}")
-
 
 def grid_positions(s: Scene) -> np.ndarray:
     """Receiver grid, shape (N_loc, 2), row-major from the southwest corner.
@@ -201,14 +191,11 @@ def grid_positions(s: Scene) -> np.ndarray:
     gives round(w/d) x round(h/d) points (e.g. 1080 x 2130 m at 30 m spacing
     yields 36 x 71 = 2556 locations).
     """
-    w, h = s.extent_m
-    d = s.grid_spacing_m
-    nx = int(round(w / d))
-    ny = int(round(h / d))
+    nx, ny = grid_shape(s)
     if nx < 1 or ny < 1:
         raise SceneError("extent smaller than one grid cell")
-    xs = np.arange(nx) * d
-    ys = np.arange(ny) * d
+    xs = np.arange(nx) * s.grid_spacing_m
+    ys = np.arange(ny) * s.grid_spacing_m
     gx, gy = np.meshgrid(xs, ys)  # rows are constant-y, so C-order is row-major
     return np.column_stack([gx.ravel(), gy.ravel()])
 
@@ -341,53 +328,23 @@ def load_scene(text: str) -> Scene:
 
 def serialize_scene(s: Scene) -> str:
     """Serialize a Scene back to its JSON document form (round-trippable)."""
-    doc = {
-        "frequency_hz": s.frequency_hz,
-        "extent_m": list(s.extent_m),
-        "grid_spacing_m": s.grid_spacing_m,
-        "altitudes_m": list(s.altitudes_m),
-        "tx_power_w": s.tx_power_w,
-        "materials": [
-            {"name": m.name, "a": m.a, "b": m.b, "c": m.c, "d": m.d}
-            for m in sorted(s.materials.values(), key=lambda m: m.name)
-        ],
-        "ground_material": s.ground_material.name,
-        "buildings": [
-            {
-                "x": b.x,
-                "y": b.y,
-                "w": b.w,
-                "h": b.h,
-                "height": b.height,
-                "material": b.material.name,
-            }
-            for b in s.buildings
-        ],
-        "trees": [
-            {
-                "x": t.x,
-                "y": t.y,
-                "trunk_height": t.trunk_height,
-                "trunk_radius": t.trunk_radius,
-                "canopy_height": t.canopy_height,
-                "canopy_base_radius": t.canopy_base_radius,
-                "attenuation_db_per_m": t.attenuation_db_per_m,
-            }
-            for t in s.trees
-        ],
-        "towers": [
-            {
-                "id": t.id,
-                "x": t.x,
-                "y": t.y,
-                "height": t.height,
-                "array": {
-                    "elements": t.array.elements,
-                    "spacing_wavelengths": t.array.spacing_wavelengths,
-                    "axis": list(t.array.axis),
-                },
-            }
-            for t in s.towers
-        ],
-    }
+
+    def fields(obj, names, **extra) -> dict:
+        return {**{k: getattr(obj, k) for k in names}, **extra}
+
+    doc = fields(
+        s, ("frequency_hz", "grid_spacing_m", "tx_power_w"),
+        extent_m=list(s.extent_m),
+        altitudes_m=list(s.altitudes_m),
+        materials=[fields(m, ("name", "a", "b", "c", "d"))
+                   for m in sorted(s.materials.values(), key=lambda m: m.name)],
+        ground_material=s.ground_material.name,
+        buildings=[fields(b, ("x", "y", "w", "h", "height"), material=b.material.name)
+                   for b in s.buildings],
+        trees=[asdict(t) for t in s.trees],
+        towers=[fields(t, ("id", "x", "y", "height"),
+                       array=fields(t.array, ("elements", "spacing_wavelengths"),
+                                    axis=list(t.array.axis)))
+                for t in s.towers],
+    )
     return json.dumps(doc, indent=2, sort_keys=True)

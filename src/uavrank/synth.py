@@ -21,27 +21,27 @@ def synthetic_grid_positions(nx: int, ny: int, spacing_m: float) -> np.ndarray:
     return grid_positions(s)
 
 
-def correlated_field_factor(positions: np.ndarray, model: CorrelationModel,
-                            nugget: float = 1e-6) -> np.ndarray:
-    """Cholesky factor of the model covariance over the grid positions.
+def correlated_field_factor(positions: np.ndarray, model: CorrelationModel) -> np.ndarray:
+    """Cholesky factor of the model covariance over the grid positions, with
+    a 1e-6 nugget on the diagonal.
 
     Expensive for large grids; compute once and reuse across seeds.
     """
     cov = model(cdist(positions, positions))
-    cov[np.diag_indices_from(cov)] = model(0.0) + nugget
+    cov[np.diag_indices_from(cov)] = model(0.0) + 1e-6
     return np.linalg.cholesky(cov)
 
 
 def synthetic_rank_field(positions: np.ndarray, model: CorrelationModel,
                          altitudes_m, thresholds, seed: int,
-                         vertical_rho: float = 0.9,
-                         chol: np.ndarray | None = None,
-                         max_rank: int = 4) -> RankGrid:
+                         chol: np.ndarray | None = None) -> RankGrid:
     """Integer rank stack (N_h, N_K, N_loc) from a correlated Gaussian field.
 
-    Altitude layers follow an AR(1) chain with coefficient `vertical_rho`;
-    thresholds shift the quantization upward so the rank is monotone in K.
+    Altitude layers follow an AR(1) chain with coefficient 0.9; thresholds
+    shift the quantization upward so the rank is monotone in K.  Ranks are
+    clipped to [1, 4], the rank of the default 4x4 arrays.
     """
+    vertical_rho = 0.9
     rng = np.random.default_rng(seed)
     if chol is None:
         chol = correlated_field_factor(positions, model)
@@ -60,6 +60,6 @@ def synthetic_rank_field(positions: np.ndarray, model: CorrelationModel,
     for hi, zh in enumerate(layers):
         for ki in range(len(ks)):
             cont = 1.4 + zh + 0.45 * ki
-            ranks[hi, ki] = np.clip(np.round(cont), 1, max_rank).astype(int)
+            ranks[hi, ki] = np.clip(np.round(cont), 1, 4).astype(int)
     serving = np.zeros(n_loc, dtype=int)
     return RankGrid(positions, altitudes, ks, ranks, serving)

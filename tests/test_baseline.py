@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavrank.baseline import (
-    IndexedSamples,
-    baseline_rank,
-    makima_interp,
-    spline_interp,
-)
+from uavrank.baseline import baseline_rank
 
 
 def natural_spline_oracle(x, y, x0):
@@ -66,14 +61,6 @@ def makima_oracle(x, y, x0):
     return h00 * y[i] + h10 * h * slopes[i] + h01 * y[i + 1] + h11 * h * slopes[i + 1]
 
 
-class TestIndexedSamples:
-    def test_strictly_increasing_required(self):
-        with pytest.raises(ValueError):
-            IndexedSamples(np.array([0, 2, 2]), np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(ValueError):
-            IndexedSamples(np.array([0, 2]), np.array([1.0]))
-
-
 class TestSpline:
     def test_matches_tridiagonal_oracle(self):
         rng = np.random.default_rng(0)
@@ -81,34 +68,32 @@ class TestSpline:
             n = int(rng.integers(4, 10))
             x = np.sort(rng.choice(np.arange(40), size=n, replace=False)).astype(float)
             y = rng.normal(size=n)
-            s = IndexedSamples(x, y)
             for x0 in rng.uniform(x[0], x[-1], 5):
-                assert spline_interp(s, x0) == pytest.approx(
+                assert baseline_rank(x0, x, y, "spline") == pytest.approx(
                     natural_spline_oracle(x, y, x0), abs=1e-10
                 )
 
     def test_known_midpoint(self):
         # symmetric zigzag: the natural spline passes through 0.5 at x=1.5
-        s = IndexedSamples(np.array([0, 1, 2, 3]), np.array([0.0, 1.0, 0.0, 1.0]))
-        assert spline_interp(s, 1.5) == pytest.approx(0.5, abs=1e-12)
+        got = baseline_rank(1.5, [0, 1, 2, 3], [0.0, 1.0, 0.0, 1.0], "spline")
+        assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_natural_end_condition(self):
         # second derivative vanishes at the ends
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
         y = np.array([0.0, 2.0, 1.0, 3.0, 0.5])
-        s = IndexedSamples(x, y)
         eps = 1e-5
         for x0 in (x[0], x[-1]):
             d2 = (
-                spline_interp(s, x0 - eps)
-                - 2 * spline_interp(s, x0)
-                + spline_interp(s, x0 + eps)
+                baseline_rank(x0 - eps, x, y, "spline")
+                - 2 * baseline_rank(x0, x, y, "spline")
+                + baseline_rank(x0 + eps, x, y, "spline")
             ) / eps**2
             assert abs(d2) < 1e-4
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            spline_interp(IndexedSamples(np.array([0]), np.array([1.0])), 0.5)
+            baseline_rank(0.5, [0], [1.0], "spline")
 
 
 class TestMakima:
@@ -118,9 +103,8 @@ class TestMakima:
             n = int(rng.integers(4, 10))
             x = np.sort(rng.choice(np.arange(40), size=n, replace=False)).astype(float)
             y = rng.normal(size=n)
-            s = IndexedSamples(x, y)
             for x0 in rng.uniform(x[0], x[-1], 5):
-                assert makima_interp(s, x0) == pytest.approx(
+                assert baseline_rank(x0, x, y, "makima") == pytest.approx(
                     makima_oracle(x, y, x0), abs=1e-10
                 )
 
@@ -128,14 +112,14 @@ class TestMakima:
         # a hallmark of (modified) Akima: no overshoot on flat runs
         x = np.arange(8.0)
         y = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
-        s = IndexedSamples(x, y)
-        assert makima_interp(s, 1.5) == pytest.approx(1.0, abs=1e-12)
-        assert makima_interp(s, 5.5) == pytest.approx(2.0, abs=1e-12)
+        assert baseline_rank(1.5, x, y, "makima") == pytest.approx(1.0, abs=1e-12)
+        assert baseline_rank(5.5, x, y, "makima") == pytest.approx(2.0, abs=1e-12)
 
     def test_two_points_degenerate_to_linear(self):
-        s = IndexedSamples(np.array([0, 4]), np.array([1.0, 3.0]))
-        assert makima_interp(s, 1.0) == pytest.approx(1.5, abs=1e-12)
-        assert makima_interp(s, 3.0) == pytest.approx(2.5, abs=1e-12)
+        x, y = [0, 4], [1.0, 3.0]
+        assert baseline_rank(1.0, x, y, "makima") == pytest.approx(1.5, abs=1e-12)
+        assert baseline_rank(3.0, x, y, "makima") == pytest.approx(2.5, abs=1e-12)
+        assert baseline_rank(6.0, x, y, "makima") == pytest.approx(4.0, abs=1e-12)
 
 
 class TestBaselineRank:
@@ -155,8 +139,16 @@ class TestBaselineRank:
             baseline_rank(0.5, [0, 1], [1.0, 2.0], "rbf")
 
     def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            baseline_rank(0.5, [0], [1.0], "spline")
+        with pytest.raises(ValueError, match="at least 2"):
+            baseline_rank(0.5, [0], [1.0], "makima")
+        with pytest.raises(ValueError, match="at least 2"):
+            baseline_rank(0.5, [], [], "spline")
+
+    def test_distinct_indices_required(self):
+        with pytest.raises(ValueError, match="distinct"):
+            baseline_rank(1.0, [2, 0, 2], [1.0, 2.0, 3.0], "spline")
+        with pytest.raises(ValueError, match="equal length"):
+            baseline_rank(1.0, [0, 2], [1.0], "makima")
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)

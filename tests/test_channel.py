@@ -10,7 +10,6 @@ from uavrank.channel import (
     OutOfCoverageError,
     channel_rank,
     rss,
-    singular_values,
     steering_vector,
     synthesize_channel,
 )
@@ -91,14 +90,14 @@ class TestSynthesis:
 
 class TestSingularValues:
     def test_matches_eigendecomposition_oracle(self):
-        # independent route: sqrt of eigenvalues of H^H H
+        # independent route: rank from the sqrt of eigenvalues of H^H H
         rng = np.random.default_rng(7)
         for _ in range(20):
             h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            sv = singular_values(_mat(h))
+            h[:, 3] = 1e-2 * h[:, 0] + 1e-4 * h[:, 3]  # a spread-out spectrum
             ev = np.sqrt(np.maximum(np.linalg.eigvalsh(h.conj().T @ h)[::-1], 0.0))
-            assert np.allclose(sv, ev, atol=1e-10)
-            assert np.all(np.diff(sv) <= 0)
+            for K in (10, 100, 1000, 1e5):
+                assert channel_rank(_mat(h), K) == int(np.sum(ev > ev[0] / K))
 
 
 class TestRank:
@@ -156,20 +155,14 @@ class TestRSS:
         assert got == pytest.approx(friis, abs=1e-9)
 
     def test_mimo_reduces_to_siso_for_single_elements(self):
-        paths = trace_paths(self.SCENE, (0, 0, 10), (100, 0, 30))
-        one = ArrayConfig(elements=1)
-        assert rss(paths, one, one, 10.0, self.SCENE.wavelength_m) == pytest.approx(
-            rss(paths, one, one, 10.0, self.SCENE.wavelength_m, weights="mrt"),
-            abs=1e-9,
-        )
-
-    def test_mrt_at_least_uniform(self):
+        # one element has no steering phase, whatever the array geometry
         paths = trace_paths(self.SCENE, (0, 0, 10), (100, 40, 30))
-        tx = ArrayConfig(elements=4)
-        rx = ArrayConfig(elements=4)
-        uni = rss(paths, tx, rx, 10.0, self.SCENE.wavelength_m)
-        mrt = rss(paths, tx, rx, 10.0, self.SCENE.wavelength_m, weights="mrt")
-        assert mrt >= uni - 1e-9
+        one = ArrayConfig(elements=1)
+        tilted = ArrayConfig(elements=1, spacing_wavelengths=2.0, axis=(0, 0, 1))
+        siso = 10 * np.log10(10.0 * 1e3 * abs(sum(p.gain for p in paths)) ** 2)
+        for tx, rx in ((one, tilted), (tilted, one), (tilted, tilted)):
+            got = rss(paths, tx, rx, 10.0, self.SCENE.wavelength_m)
+            assert got == pytest.approx(siso, abs=1e-9)
 
     def test_perfect_null_gives_minus_inf(self):
         paths = trace_paths(self.SCENE, (0, 0, 10), (100, 0, 30), max_reflections=0)
@@ -183,8 +176,3 @@ class TestRSS:
     def test_empty_paths_raise(self):
         with pytest.raises(OutOfCoverageError):
             rss([], ArrayConfig(), ArrayConfig(), 10.0, 0.09)
-
-    def test_unknown_weights(self):
-        paths = trace_paths(self.SCENE, (0, 0, 10), (100, 0, 30))
-        with pytest.raises(ValueError):
-            rss(paths, ArrayConfig(), ArrayConfig(), 10.0, 0.09, weights="zf")

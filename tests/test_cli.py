@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from uavrank.cli import EXIT_INPUT, EXIT_OK, main
+from uavrank.cli import EXIT_INPUT, EXIT_OK, _write_all, main
 from uavrank.covermap import rank_grid_from_json
 from uavrank.scene import Scene, Tower, serialize_scene
 
@@ -177,12 +177,23 @@ class TestMalformedArtifacts:
         ("positions", [[0.0, 0.0, 0.0], [30.0, 0.0, 0.0]], "positions has shape"),
         ("serving_tower", [1], "serving_tower has shape"),
         ("ranks", [[[1, -2]]], "ranks must be >= -1"),
+        ("altitudes_m", [[30.0]], "malformed field"),
     ])
     def test_inconsistent_rank_grid(self, tmp_path, capsys, field, value, text):
         grid = dict(self.GRID, **{field: value})
         (tmp_path / "rank_grid.json").write_text(json.dumps(grid))
         rc = main(["fit", "--rank-grid", str(tmp_path), "--out", str(tmp_path / "fit")])
         self._assert_input_error(rc, capsys, text)
+
+    @pytest.mark.parametrize("field, value, ranks", [
+        ("altitudes_m", [30.0, 30.0], [[[1, 2]], [[1, 2]]]),
+        ("thresholds", [10.0, 10.0], [[[1, 2], [1, 2]]]),
+    ])
+    def test_duplicate_layers(self, tmp_path, capsys, field, value, ranks):
+        grid = dict(self.GRID, ranks=ranks, **{field: value})
+        (tmp_path / "rank_grid.json").write_text(json.dumps(grid))
+        rc = main(["fit", "--rank-grid", str(tmp_path), "--out", str(tmp_path / "fit")])
+        self._assert_input_error(rc, capsys, f"{field} has duplicate values")
 
     def test_model_missing_key(self, tmp_path, capsys):
         synth_out = tmp_path / "synth"
@@ -198,3 +209,77 @@ class TestMalformedArtifacts:
         bad.write_text(json.dumps({"buildings": {"x": 0}, "towers": []}))
         rc = main(["coverage", "--scene", str(bad), "--out", str(tmp_path / "o")])
         self._assert_input_error(rc, capsys, "buildings must be a JSON array")
+
+    @pytest.mark.parametrize("value, text", [
+        ("a", "key 'c1' is not a number: 'a'"),
+        (None, "key 'c1' is not a number: None"),
+    ])
+    def test_model_non_numeric_field(self, tmp_path, capsys, value, text):
+        synth_out = tmp_path / "synth"
+        main(["synth", "--out", str(synth_out), "--nx", "5", "--ny", "5", "--spacing", "30"])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"c1": value, "c2": -0.05, "c3": 0.7, "c4": -0.001,
+                                     "rmse": 0.0}))
+        rc = main(["interpolate", "--rank-grid", str(synth_out), "--model", str(model),
+                   "--out", str(tmp_path / "o")])
+        self._assert_input_error(rc, capsys, text)
+
+    @pytest.mark.parametrize("empty", ["", "t_s,x_m,y_m,z_m,rss_dbm\n"])
+    def test_trace_without_samples(self, tmp_path, capsys, empty):
+        (tmp_path / "empty.csv").write_text(empty)
+        (tmp_path / "sim.csv").write_text("t_s,x_m,y_m,z_m,rss_dbm\n0,0,0,30,-60\n")
+        for measured, simulated in (("empty", "sim"), ("sim", "empty")):
+            rc = main(["calibrate", "--measured", str(tmp_path / f"{measured}.csv"),
+                       "--simulated", str(tmp_path / f"{simulated}.csv"),
+                       "--out", str(tmp_path / "o")])
+            self._assert_input_error(rc, capsys, "trace CSV has no samples")
+
+    @pytest.mark.parametrize("argv, text", [
+        (["synth", "--altitudes", "30,30"], "--altitudes must be > 0 and strictly increasing"),
+        (["synth", "--altitudes", "70,30"], "--altitudes must be > 0 and strictly increasing"),
+        (["synth", "--altitudes", "0,30"], "--altitudes must be > 0 and strictly increasing"),
+        (["synth", "--altitudes", "30,inf"], "--altitudes must be finite"),
+        (["synth", "--thresholds", "0.5"], "--thresholds must be > 1 and distinct"),
+        (["synth", "--thresholds", "10,10"], "--thresholds must be > 1 and distinct"),
+        (["rank", "--thresholds", "nan"], "--thresholds must be finite"),
+        (["rank", "--altitudes", "-30"], "--altitudes must be > 0 and strictly increasing"),
+        (["coverage", "--altitudes", "30,x"], "could not convert"),
+    ])
+    def test_bad_altitudes_and_thresholds(self, scene_file, tmp_path, capsys, argv, text):
+        out = tmp_path / "o"
+        extra = ["--nx", "4", "--ny", "4"] if argv[0] == "synth" else ["--scene", str(scene_file)]
+        rc = main(argv + extra + ["--out", str(out)])
+        self._assert_input_error(rc, capsys, text)
+        assert not out.exists() or list(out.iterdir()) == []
+
+
+class TestWriteAll:
+    """A stage writes all of its artifacts or none of them."""
+
+    def test_failed_write_leaves_nothing(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "b.csv").write_text("old\n")
+        # the second artifact cannot be encoded, so its write fails halfway
+        with pytest.raises(UnicodeEncodeError):
+            _write_all(out, {"a.csv": "x\n", "b.csv": "\ud800", "c.pgm": b"P5"})
+        assert sorted(p.name for p in out.iterdir()) == ["b.csv"]
+        assert (out / "b.csv").read_text() == "old\n"
+
+    def test_directory_in_the_way_is_input_error(self, scene_file, tmp_path, capsys):
+        out = tmp_path / "cov"
+        (out / "coverage_siso_tower1_h30_cdf.csv").mkdir(parents=True)
+        rc = main(["coverage", "--scene", str(scene_file), "--out", str(out),
+                   "--altitudes", "30"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == EXIT_INPUT
+        assert len(err) == 1 and "is a directory" in err[0]
+        assert [p.name for p in out.iterdir()] == ["coverage_siso_tower1_h30_cdf.csv"]
+
+    def test_replaces_previous_artifacts(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        _write_all(out, {"a.csv": "old\n"})
+        _write_all(out, {"a.csv": "new\n", "b.pgm": b"P5"})
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.pgm"]
+        assert (out / "a.csv").read_text() == "new\n"

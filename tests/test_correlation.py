@@ -13,7 +13,6 @@ from uavrank.correlation import (
     evaluate_model,
     fit_biexponential,
     fit_correlation_model,
-    pearson,
 )
 from uavrank.covermap import RankGrid, Z_RANK
 
@@ -88,23 +87,6 @@ class TestRankVectors:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             build_rank_vectors(_grid(np.ones((1, 1, 1), dtype=int)), z_policy="drop")
-
-
-class TestPearson:
-    def test_matches_corrcoef_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            u = rng.normal(size=8)
-            v = rng.normal(size=8)
-            assert pearson(u, v) == pytest.approx(np.corrcoef(u, v)[0, 1], abs=1e-12)
-
-    def test_self_correlation_is_one(self):
-        u = np.array([1.0, 2.0, 5.0])
-        assert pearson(u, u) == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_vector_raises(self):
-        with pytest.raises(ValueError):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
 class TestBinning:

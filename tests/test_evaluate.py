@@ -95,7 +95,7 @@ class TestLooEvaluate:
 
     def test_report_csv_and_mean(self):
         rep = MAEReport("kriging", {(30.0, 10.0): (0.5, 10), (30.0, 100.0): (0.7, 10)})
-        assert rep.mean_mae() == pytest.approx(0.6)
+        assert rep.mae(30.0, 100.0) == 0.7
         lines = rep.to_csv().splitlines()
         assert lines[0] == "method,altitude_m,K,mae,cells"
         assert lines[1] == "kriging,30,10,0.500000000,10"

@@ -8,14 +8,33 @@ from hypothesis import strategies as st
 from uavrank.correlation import CorrelationModel
 from uavrank.kriging import (
     KrigingConfig,
+    _variogram_system,
     krige_rank,
-    rank_variance,
     select_neighbors,
-    semivariogram,
     solve_weights,
 )
 
 MODEL = CorrelationModel(0.2932, -0.0508, 0.7057, -0.001, rmse=0.0)
+
+
+def semivariogram(model, v2, pi, pj):
+    """Oracle: gamma = v^2 * (1 - correlation(horizontal distance)), clamped at 0."""
+    d = float(np.hypot(pi[0] - pj[0], pi[1] - pj[1]))
+    return max(0.0, v2 * (1.0 - model(d)))
+
+
+def hand_built_system(model, v2, samples, target):
+    """Lagrange-augmented Kriging system assembled entry by entry."""
+    m = len(samples)
+    a = np.ones((m + 1, m + 1))
+    for i in range(m):
+        for j in range(m):
+            a[i, j] = semivariogram(model, v2, samples[i], samples[j])
+    a[m, m] = 0.0
+    b = np.ones(m + 1)
+    for i in range(m):
+        b[i] = semivariogram(model, v2, samples[i], target)
+    return a, b
 
 
 class TestConfig:
@@ -31,36 +50,36 @@ class TestConfig:
             KrigingConfig(r0_m=0.0)
 
 
-class TestVariance:
-    def test_matches_numpy_ddof1(self):
-        r = [1.0, 2.0, 2.0, 3.0]
-        assert rank_variance(r) == pytest.approx(np.var(r, ddof=1), abs=1e-12)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            rank_variance([2.0])
-
-
 class TestSemivariogram:
+    """The variogram entries of the system that solve_weights solves."""
+
     def test_at_zero_distance(self):
         # gamma(0) = v^2 * (1 - phi(0)); the model keeps a small nugget
-        v2 = 2.0
-        got = semivariogram(MODEL, v2, (0, 0), (0, 0))
-        assert got == pytest.approx(2.0 * (1.0 - 0.9989), abs=1e-12)
+        a, b = _variogram_system(np.array([[0.0, 0.0], [60.0, 0.0]]),
+                                 np.array([0.0, 0.0]), MODEL, 2.0)
+        assert a[0, 0] == a[1, 1] == pytest.approx(2.0 * (1.0 - 0.9989), abs=1e-12)
+        assert b[0] == pytest.approx(2.0 * (1.0 - 0.9989), abs=1e-12)
 
     def test_uses_horizontal_distance(self):
-        v2 = 1.0
         d = 120.0
-        got = semivariogram(MODEL, v2, (0.0, 0.0), (0.0, d))
-        assert got == pytest.approx(1.0 - MODEL(d), abs=1e-12)
+        a, b = _variogram_system(np.array([[0.0, 0.0], [0.0, d]]),
+                                 np.array([d, 0.0]), MODEL, 1.0)
+        assert a[0, 1] == a[1, 0] == pytest.approx(1.0 - MODEL(d), abs=1e-12)
+        assert b[0] == pytest.approx(1.0 - MODEL(d), abs=1e-12)
 
     def test_clamped_at_zero(self):
+        # phi(d) > 1 up to ~11 m, where the raw gamma would be negative
         inflated = CorrelationModel(0.6, -0.01, 0.6, -0.001, rmse=0.0)  # phi(0)=1.2
-        assert semivariogram(inflated, 1.0, (0, 0), (0, 0)) == 0.0
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            semivariogram(MODEL, -1.0, (0, 0), (1, 1))
+        samples = np.array([[0.0, 0.0], [5.0, 0.0], [60.0, 0.0]])
+        target = np.array([2.0, 0.0])
+        assert 1.0 - inflated(5.0) < 0.0
+        a, b = hand_built_system(inflated, 1.0, samples, target)
+        assert a[0, 1] == 0.0 and b[0] == 0.0
+        expected = np.linalg.solve(a, b)
+        sol = solve_weights(samples, target, inflated, 1.0)
+        assert not sol.fallback
+        assert np.allclose(sol.weights, expected[:3], atol=1e-10)
+        assert sol.lagrange == pytest.approx(expected[3], abs=1e-10)
 
 
 class TestSolveWeights:
@@ -76,14 +95,7 @@ class TestSolveWeights:
         target = np.array([20.0, 10.0])
         v2 = 1.3
         m = len(samples)
-        a = np.ones((m + 1, m + 1))
-        for i in range(m):
-            for j in range(m):
-                a[i, j] = semivariogram(MODEL, v2, samples[i], samples[j])
-        a[m, m] = 0.0
-        b = np.ones(m + 1)
-        for i in range(m):
-            b[i] = semivariogram(MODEL, v2, samples[i], target)
+        a, b = hand_built_system(MODEL, v2, samples, target)
         expected = np.linalg.solve(a, b)
         sol = solve_weights(samples, target, MODEL, v2)
         assert np.allclose(sol.weights, expected[:m], atol=1e-10)

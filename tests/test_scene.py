@@ -101,8 +101,8 @@ class TestGeometryValidation:
     def test_tree(self):
         with pytest.raises(SceneError):
             Tree(0, 0, trunk_radius=0.0)
-        t = Tree(0, 0)
-        assert t.total_height == 20.0
+        with pytest.raises(SceneError):
+            Tree(0, 0, canopy_height=-1.0)
 
     def test_tower(self):
         with pytest.raises(SceneError):
@@ -139,12 +139,6 @@ class TestScene:
             Scene(towers=(Tower(id=1, x=-1, y=0),))
         with pytest.raises(SceneError, match="outside extent"):
             Scene(extent_m=(100, 100), towers=(Tower(id=1, x=50, y=101),))
-
-    def test_tower_by_id(self):
-        s = Scene(towers=(Tower(id=3, x=0, y=0), Tower(id=7, x=10, y=10)))
-        assert s.tower_by_id(7).x == 10
-        with pytest.raises(KeyError):
-            s.tower_by_id(99)
 
 
 class TestGrid:

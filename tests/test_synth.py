@@ -71,7 +71,7 @@ class TestRankField:
         agree_near = agree_far = 0
         for seed in range(30):
             rg = synthetic_rank_field(self.POS, MODEL, ALTITUDES, THRESHOLDS,
-                                      seed=seed, vertical_rho=0.9)
+                                      seed=seed)
             agree_near += np.mean(rg.ranks[0, 1] == rg.ranks[1, 1])
             agree_far += np.mean(rg.ranks[0, 1] == rg.ranks[2, 1])
         assert agree_near > agree_far

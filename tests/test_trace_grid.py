@@ -115,7 +115,7 @@ def test_rank_grid_matches_per_cell_reference(seed):
                     expected = Z_RANK
                 else:
                     hmat = synthesize_channel(paths, tower.array, ArrayConfig(),
-                                              s.wavelength_m, s.frequency_hz)
+                                              s.wavelength_m)
                     expected = channel_rank(hmat, K)
                 assert rg.ranks[hi, ki, i] == expected
 
