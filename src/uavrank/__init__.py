@@ -57,7 +57,6 @@ from .evaluate import (
     Trace,
     calibrate_offset,
     loo_evaluate,
-    mae,
     rank_histogram,
 )
 from .synth import (

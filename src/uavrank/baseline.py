@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import Akima1DInterpolator, CubicSpline
 
+from .kriging import NeighborTable
+
 
 def baseline_rank(target_index: float, indices, values, method: str) -> float:
     """Interpolate the rank at a grid index from sampled (index, rank) pairs.
@@ -27,14 +29,60 @@ def baseline_rank(target_index: float, indices, values, method: str) -> float:
     x, y = indices[order], values[order]
     if np.any(np.diff(x) <= 0):
         raise ValueError("indices must be distinct")
+    return float(_interpolate(x, y, target_index, method))
+
+
+def baseline_table(nt: NeighborTable, values, method: str) -> np.ndarray:
+    """baseline_rank(i, neighbors of i, their values, method) for every target
+    i of `nt`, NaN where it has fewer than 2 neighbors.
+
+    Targets whose sorted neighbor indices lie at the same offsets from them
+    share one interpolant over those offsets, with one value column per
+    target; shifting integer indices is exact, so every column evaluates to
+    baseline_rank's estimate.
+    """
+    values = np.asarray(values, dtype=float)
+    est = np.full(len(nt.targets), np.nan)
+    for m in np.unique(nt.count[nt.count >= 2]):
+        rows = np.flatnonzero(nt.count == m)
+        nb = np.sort(nt.index[rows, :m], axis=1)
+        patterns, group = np.unique(nb - nt.targets[rows, None], axis=0,
+                                    return_inverse=True)
+        group = group.ravel()
+        order = np.argsort(group, kind="stable")
+        bounds = np.cumsum(np.bincount(group))[:-1]
+        for x, members in zip(patterns, np.split(order, bounds)):
+            y = values[nb[members]].T  # (m, targets)
+            if method == "makima" and m > 2 and not _columns_independent(x, y):
+                est[rows[members]] = [_interpolate(x, col, 0.0, method) for col in y.T]
+            else:
+                est[rows[members]] = _interpolate(x, y, 0.0, method)
+    return est
+
+
+def _interpolate(x, y, at: float, method: str):
+    """Interpolant through (x[k], y[k]) at `at`; y may hold one column per
+    interpolant."""
     if method == "spline":
-        cs = CubicSpline(x, y, bc_type="natural", extrapolate=True)
-        return float(cs(target_index))
+        return CubicSpline(x, y, bc_type="natural", extrapolate=True)(at)
     if method == "makima":
         if len(x) == 2:
             # degenerate to linear, matching the spline's 2-point behavior
-            t = (target_index - x[0]) / (x[1] - x[0])
-            return float(y[0] + t * (y[1] - y[0]))
-        ak = Akima1DInterpolator(x, y, method="makima", extrapolate=True)
-        return float(ak(target_index))
+            t = (at - x[0]) / (x[1] - x[0])
+            return y[0] + t * (y[1] - y[0])
+        return Akima1DInterpolator(x, y, method="makima", extrapolate=True)(at)
     raise ValueError(f"unknown baseline method {method!r}")
+
+
+def _columns_independent(x, y) -> bool:
+    """Whether makima through the columns of y at once equals makima through
+    each column alone.
+
+    Akima1DInterpolator drops a slope weight below 1e-9 times the largest
+    weight over all columns.  With integer values at integer x, a nonzero
+    weight is at least 1 / span**2 and none exceeds 30 times the value range,
+    so no weight crosses the cut while 3e-8 * span**2 * range < 1 (tested
+    against 0.5 to leave room for rounding).
+    """
+    span = float(x[-1] - x[0])
+    return bool(np.all(y == np.round(y))) and 3e-8 * span**2 * float(np.ptp(y)) < 0.5

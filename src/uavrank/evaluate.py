@@ -3,15 +3,15 @@ calibration by min-RMSE offset search, and rank histograms."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import baseline_rank
+from .baseline import baseline_rank, baseline_table
 from .correlation import CorrelationModel
 from .covermap import RankGrid, Z_RANK
-from .kriging import KrigingConfig, krige_rank, select_neighbors
+from .kriging import (KrigingConfig, krige_rank, krige_table, neighbor_table,
+                      select_neighbors)
 
 METHODS = ("kriging", "spline", "makima")
 
@@ -32,48 +32,44 @@ class MAEReport:
         return "\n".join(lines) + "\n"
 
 
-def mae(true_values, est_values) -> float:
-    """Mean absolute difference; NaN-paired entries are excluded."""
-    t = np.asarray(true_values, dtype=float)
-    e = np.asarray(est_values, dtype=float)
-    if t.shape != e.shape:
-        raise ValueError("true and estimated vectors must have equal length")
-    keep = ~(np.isnan(t) | np.isnan(e))
-    if not np.any(keep):
-        raise ValueError("no comparable entries after exclusion")
-    return float(np.mean(np.abs(t[keep] - e[keep])))
-
-
 def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
                  model: CorrelationModel, round_estimates: bool = False,
                  altitudes_m=None, thresholds=None) -> MAEReport:
     """Leave-one-out MAE: every cell predicted from its neighbors with its own
     value withheld.  Out-of-coverage cells are excluded both as targets and as
     neighbors; cells with no eligible neighbors are skipped and not counted.
+
+    Each layer is predicted in one batched pass whose estimates equal the
+    per-cell _predict_one; layers with the same coverage share one neighbor
+    search.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     altitudes = tuple(altitudes_m) if altitudes_m is not None else rg.altitudes_m
     ks = tuple(thresholds) if thresholds is not None else rg.thresholds
     pos = rg.positions
+    tables = {}  # valid-mask bytes -> NeighborTable
     entries = {}
     for h in altitudes:
         hi = rg.altitudes_m.index(h)
         for K in ks:
             ki = rg.thresholds.index(K)
             layer = rg.ranks[hi, ki].astype(float)
-            stacks = rg.ranks[:, ki, :].T.astype(float)  # (N_loc, N_h)
             valid = layer >= 0
-            errors = []
-            for i in np.nonzero(valid)[0]:
-                try:
-                    est = _predict_one(i, pos, layer, stacks, method, cfg, model)
-                except ValueError:
-                    continue
-                if round_estimates:
-                    est = float(np.round(est))
-                errors.append(abs(layer[i] - est))
-            if errors:
+            nt = tables.get(valid.tobytes())
+            if nt is None:
+                nt = tables[valid.tobytes()] = neighbor_table(pos, valid, cfg)
+            if method == "kriging":
+                est = krige_table(nt, pos, layer, rg.ranks[:, ki, :].T, model)
+                done = nt.count >= 1
+            else:
+                est = baseline_table(nt, layer, method)
+                done = nt.count >= 2
+            est = est[done]
+            if round_estimates:
+                est = np.round(est)
+            errors = np.abs(layer[nt.targets[done]] - est)
+            if len(errors):
                 entries[(float(h), float(K))] = (float(np.mean(errors)), len(errors))
             else:
                 entries[(float(h), float(K))] = (np.nan, 0)
@@ -81,6 +77,8 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
 
 
 def _predict_one(i, pos, layer, stacks, method, cfg, model) -> float:
+    """The per-cell reference of loo_evaluate's estimate for cell i; raises
+    ValueError where loo_evaluate skips the cell."""
     if method == "kriging":
         sol = krige_rank(pos[i], pos, layer, stacks, cfg, model, exclude=int(i))
         return sol.estimate
@@ -120,16 +118,35 @@ class Trace:
 
     @classmethod
     def from_csv(cls, text: str) -> "Trace":
-        if len(text.strip().splitlines()) < 2:
+        """Parse t_s,x_m,y_m,z_m,<kind> rows; the last column names the kind."""
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        if len(lines) < 2:
             raise ValueError("trace CSV has no samples")
-        rows = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
-        rows = np.atleast_1d(rows)
-        kind = rows.dtype.names[-1]
+        names = [c.strip() for c in lines[0][1].split(",")]
+        if len(names) < 5 or not {"t_s", "x_m", "y_m", "z_m"} <= set(names[:-1]):
+            raise ValueError(f"trace CSV header must be t_s,x_m,y_m,z_m,<kind>, "
+                             f"got {lines[0][1]!r}")
+        rows = np.empty((len(lines) - 1, len(names)))
+        for r, (n, line) in enumerate(lines[1:]):
+            cells = line.split(",")
+            if len(cells) != len(names):
+                raise ValueError(f"trace CSV line {n} has {len(cells)} cells, "
+                                 f"expected {len(names)}")
+            for c, cell in enumerate(cells):
+                try:
+                    rows[r, c] = float(cell)
+                except ValueError:
+                    rows[r, c] = np.nan
+            bad = np.flatnonzero(~np.isfinite(rows[r]))
+            if len(bad):
+                raise ValueError(f"trace CSV line {n}, column {names[bad[0]]!r}: "
+                                 f"{cells[bad[0]].strip()!r} is not a finite number")
+        col = dict(zip(names, rows.T))
         return cls(
-            t_s=rows["t_s"],
-            positions=np.column_stack([rows["x_m"], rows["y_m"], rows["z_m"]]),
-            values=rows[kind],
-            kind=kind,
+            t_s=col["t_s"],
+            positions=np.column_stack([col["x_m"], col["y_m"], col["z_m"]]),
+            values=col[names[-1]],
+            kind=names[-1],
         )
 
 

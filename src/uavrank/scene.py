@@ -207,26 +207,47 @@ def grid_shape(s: Scene) -> tuple[int, int]:
     return int(round(w / d)), int(round(h / d))
 
 
-def _parse_material(obj: dict) -> Material:
+def _number(obj: dict, key: str, where: str, default=None, kind=float):
+    """obj[key] converted by `kind`; `default` when the key is absent, or a
+    missing-field error without one."""
+    if key not in obj:
+        if default is None:
+            raise SceneError(f"{where} missing field {key!r}")
+        return default
     try:
-        return Material(
-            name=str(obj["name"]),
-            a=float(obj["a"]),
-            b=float(obj["b"]),
-            c=float(obj["c"]),
-            d=float(obj["d"]),
-        )
-    except KeyError as e:
-        raise SceneError(f"material missing field {e.args[0]!r}") from e
+        return kind(obj[key])
+    except (TypeError, ValueError):
+        raise SceneError(f"{where} field {key!r} must be a number, got {obj[key]!r}") from None
 
 
-def _parse_array(obj: dict | None) -> ArrayConfig:
+def _numbers(obj: dict, key: str, where: str, default: tuple, length=None) -> tuple:
+    """obj[key] as a tuple of JSON numbers, `default` when the key is absent."""
+    value = obj.get(key, default)
+    if (not isinstance(value, (list, tuple))
+            or not all(isinstance(v, (int, float)) for v in value)
+            or (length is not None and len(value) != length)):
+        size = f"{length} " if length is not None else ""
+        raise SceneError(f"{where} field {key!r} must be an array of {size}numbers, "
+                         f"got {value!r}")
+    return tuple(value)
+
+
+def _parse_material(obj: dict, where: str) -> Material:
+    if "name" not in obj:
+        raise SceneError(f"{where} missing field 'name'")
+    return Material(name=str(obj["name"]),
+                    **{k: _number(obj, k, where) for k in ("a", "b", "c", "d")})
+
+
+def _parse_array(obj, where: str) -> ArrayConfig:
     if obj is None:
         return ArrayConfig()
+    if not isinstance(obj, dict):
+        raise SceneError(f"{where} field 'array' must be a JSON object")
     return ArrayConfig(
-        elements=int(obj.get("elements", 4)),
-        spacing_wavelengths=float(obj.get("spacing_wavelengths", 0.5)),
-        axis=tuple(obj.get("axis", (0.0, 1.0, 0.0))),
+        elements=_number(obj, "elements", where, 4, int),
+        spacing_wavelengths=_number(obj, "spacing_wavelengths", where, 0.5),
+        axis=_numbers(obj, "axis", where, (0.0, 1.0, 0.0), 3),
     )
 
 
@@ -251,12 +272,12 @@ def load_scene(text: str) -> Scene:
         raise SceneError("scene document must be a JSON object")
 
     materials = dict(BUILTIN_MATERIALS)
-    for mobj in _objects(doc, "materials"):
-        m = _parse_material(mobj)
+    for i, mobj in enumerate(_objects(doc, "materials")):
+        m = _parse_material(mobj, f"materials[{i}]")
         materials[m.name] = m
 
     def resolve(name, where):
-        if name not in materials:
+        if not isinstance(name, str) or name not in materials:
             raise SceneError(f"{where}: unknown material reference {name!r}")
         return materials[name]
 
@@ -265,59 +286,41 @@ def load_scene(text: str) -> Scene:
 
     buildings = []
     for i, b in enumerate(_objects(doc, "buildings")):
-        try:
-            buildings.append(
-                Building(
-                    x=float(b["x"]),
-                    y=float(b["y"]),
-                    w=float(b["w"]),
-                    h=float(b["h"]),
-                    height=float(b["height"]),
-                    material=resolve(b.get("material", "concrete"), f"buildings[{i}]"),
-                )
-            )
-        except KeyError as e:
-            raise SceneError(f"buildings[{i}] missing field {e.args[0]!r}") from e
+        where = f"buildings[{i}]"
+        buildings.append(Building(
+            **{k: _number(b, k, where) for k in ("x", "y", "w", "h", "height")},
+            material=resolve(b.get("material", "concrete"), where),
+        ))
 
+    tree_defaults = {"trunk_height": 10.0, "trunk_radius": 0.5, "canopy_height": 10.0,
+                     "canopy_base_radius": 5.0, "attenuation_db_per_m": 1.0}
     trees = []
     for i, t in enumerate(_objects(doc, "trees")):
-        try:
-            trees.append(
-                Tree(
-                    x=float(t["x"]),
-                    y=float(t["y"]),
-                    trunk_height=float(t.get("trunk_height", 10.0)),
-                    trunk_radius=float(t.get("trunk_radius", 0.5)),
-                    canopy_height=float(t.get("canopy_height", 10.0)),
-                    canopy_base_radius=float(t.get("canopy_base_radius", 5.0)),
-                    attenuation_db_per_m=float(t.get("attenuation_db_per_m", 1.0)),
-                )
-            )
-        except KeyError as e:
-            raise SceneError(f"trees[{i}] missing field {e.args[0]!r}") from e
+        where = f"trees[{i}]"
+        trees.append(Tree(
+            x=_number(t, "x", where),
+            y=_number(t, "y", where),
+            **{k: _number(t, k, where, v) for k, v in tree_defaults.items()},
+        ))
 
     towers = []
     for i, t in enumerate(_objects(doc, "towers")):
-        try:
-            towers.append(
-                Tower(
-                    id=int(t["id"]),
-                    x=float(t["x"]),
-                    y=float(t["y"]),
-                    height=float(t.get("height", 10.0)),
-                    array=_parse_array(t.get("array")),
-                )
-            )
-        except KeyError as e:
-            raise SceneError(f"towers[{i}] missing field {e.args[0]!r}") from e
+        where = f"towers[{i}]"
+        towers.append(Tower(
+            id=_number(t, "id", where, kind=int),
+            x=_number(t, "x", where),
+            y=_number(t, "y", where),
+            height=_number(t, "height", where, 10.0),
+            array=_parse_array(t.get("array"), where),
+        ))
 
     defaults = Scene()
     return Scene(
-        frequency_hz=float(doc.get("frequency_hz", defaults.frequency_hz)),
-        extent_m=tuple(doc.get("extent_m", defaults.extent_m)),
-        grid_spacing_m=float(doc.get("grid_spacing_m", defaults.grid_spacing_m)),
-        altitudes_m=tuple(doc.get("altitudes_m", defaults.altitudes_m)),
-        tx_power_w=float(doc.get("tx_power_w", defaults.tx_power_w)),
+        frequency_hz=_number(doc, "frequency_hz", "scene", defaults.frequency_hz),
+        extent_m=_numbers(doc, "extent_m", "scene", defaults.extent_m, 2),
+        grid_spacing_m=_number(doc, "grid_spacing_m", "scene", defaults.grid_spacing_m),
+        altitudes_m=_numbers(doc, "altitudes_m", "scene", defaults.altitudes_m),
+        tx_power_w=_number(doc, "tx_power_w", "scene", defaults.tx_power_w),
         ground_material=ground,
         materials=materials,
         buildings=tuple(buildings),

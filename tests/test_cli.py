@@ -210,6 +210,18 @@ class TestMalformedArtifacts:
         rc = main(["coverage", "--scene", str(bad), "--out", str(tmp_path / "o")])
         self._assert_input_error(rc, capsys, "buildings must be a JSON array")
 
+    @pytest.mark.parametrize("doc, text", [
+        ({"towers": [{"id": 1, "x": None, "y": 0}]},
+         "towers[0] field 'x' must be a number, got None"),
+        ({"extent_m": 5, "towers": []},
+         "scene field 'extent_m' must be an array of 2 numbers, got 5"),
+    ])
+    def test_scene_field_types(self, tmp_path, capsys, doc, text):
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["rank", "--scene", str(bad), "--out", str(tmp_path / "o")])
+        self._assert_input_error(rc, capsys, text)
+
     @pytest.mark.parametrize("value, text", [
         ("a", "key 'c1' is not a number: 'a'"),
         (None, "key 'c1' is not a number: None"),
@@ -233,6 +245,20 @@ class TestMalformedArtifacts:
                        "--simulated", str(tmp_path / f"{simulated}.csv"),
                        "--out", str(tmp_path / "o")])
             self._assert_input_error(rc, capsys, "trace CSV has no samples")
+
+    @pytest.mark.parametrize("row, text", [
+        ("0.1,0,0,30,q", "line 3, column 'rss_dbm': 'q' is not a finite number"),
+        ("x,0,0,30,-60", "line 3, column 't_s': 'x' is not a finite number"),
+        ("nan,0,0,30,-60", "line 3, column 't_s': 'nan' is not a finite number"),
+        ("0.1,0,0,30", "line 3 has 4 cells, expected 5"),
+    ])
+    def test_trace_bad_cells(self, tmp_path, capsys, row, text):
+        rows = "t_s,x_m,y_m,z_m,rss_dbm\n0,0,0,30,-60\n"
+        (tmp_path / "meas.csv").write_text(rows + row + "\n")
+        (tmp_path / "sim.csv").write_text(rows + "0.1,0,0,30,-61\n")
+        rc = main(["calibrate", "--measured", str(tmp_path / "meas.csv"),
+                   "--simulated", str(tmp_path / "sim.csv"), "--out", str(tmp_path / "o")])
+        self._assert_input_error(rc, capsys, text)
 
     @pytest.mark.parametrize("argv, text", [
         (["synth", "--altitudes", "30,30"], "--altitudes must be > 0 and strictly increasing"),

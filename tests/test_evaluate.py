@@ -14,7 +14,6 @@ from uavrank.evaluate import (
     calibrate_offset,
     histogram_to_csv,
     loo_evaluate,
-    mae,
     rank_histogram,
 )
 from uavrank.kriging import KrigingConfig, krige_rank, select_neighbors
@@ -31,20 +30,6 @@ def _grid(seed=0, n=5, n_h=3, with_z=False):
         ranks[:, :, 3] = Z_RANK
     return RankGrid(pos, tuple(30.0 + 10 * np.arange(n_h)), (10.0, 100.0),
                     ranks, np.zeros(n * n, dtype=int))
-
-
-class TestMae:
-    def test_hand_value(self):
-        assert mae([1, 2, 3], [1, 4, 2]) == pytest.approx(1.0)
-
-    def test_nan_pairs_excluded(self):
-        assert mae([1.0, np.nan, 3.0], [2.0, 5.0, np.nan]) == pytest.approx(1.0)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            mae([1, 2], [1, 2, 3])
-        with pytest.raises(ValueError):
-            mae([np.nan], [1.0])
 
 
 class TestLooEvaluate:

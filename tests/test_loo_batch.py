@@ -1,0 +1,227 @@
+"""Batched leave-one-out against the per-cell oracle, compared with ==.
+
+loo_evaluate predicts a layer in one pass (one neighbor search, stacked
+Kriging solves, one interpolant per neighbor pattern); every estimate must
+equal _predict_one's, which runs select_neighbors, krige_rank and
+baseline_rank for one cell.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from uavrank.baseline import baseline_rank, baseline_table
+from uavrank.correlation import CorrelationModel
+from uavrank.covermap import RankGrid, Z_RANK
+from uavrank.evaluate import METHODS, _predict_one, loo_evaluate
+from uavrank.kriging import (
+    KrigingConfig,
+    _variogram_system,
+    krige_table,
+    neighbor_table,
+    select_neighbors,
+)
+
+MODEL = CorrelationModel(0.2932, -0.0508, 0.7057, -0.001, rmse=0.0)
+# correlation above 1 out to ~100 m: gamma clamps to 0 there, so some
+# systems are singular and some too ill-conditioned for the weights to sum to 1
+INFLATED = CorrelationModel(1.65, -0.0025, -0.44, -0.0007, rmse=0.0)
+# inf - inf beyond 1 m: NaN systems
+OVERFLOWING = CorrelationModel(1.0, 800.0, -1.0, 800.0, rmse=0.0)
+
+
+def _grid(nx, ny, n_h=3, n_k=2, seed=0, z_frac=0.0, spacing=30.0, jitter=0.0,
+          constant_stacks=False):
+    rng = np.random.default_rng(seed)
+    pos = np.array([[x * spacing, y * spacing] for y in range(ny) for x in range(nx)])
+    pos = pos + rng.uniform(-jitter, jitter, size=pos.shape)
+    ranks = rng.integers(1, 5, size=(n_h, n_k, nx * ny))
+    if constant_stacks:
+        ranks[:] = ranks[:1]
+    ranks[rng.random(ranks.shape) < z_frac] = Z_RANK
+    return RankGrid(pos, tuple(30.0 + 10.0 * np.arange(n_h)),
+                    tuple(10.0 * (1 + np.arange(n_k))), ranks,
+                    np.zeros(nx * ny, dtype=int))
+
+
+def _layers(rg):
+    for hi in range(len(rg.altitudes_m)):
+        for ki in range(len(rg.thresholds)):
+            yield hi, ki, rg.ranks[hi, ki].astype(float)
+
+
+def _oracle(rg, ki, layer, method, cfg, model):
+    stacks = rg.ranks[:, ki, :].T.astype(float)
+    out = []
+    for i in np.nonzero(layer >= 0)[0]:
+        try:
+            out.append(_predict_one(i, rg.positions, layer, stacks, method, cfg, model))
+        except ValueError:
+            out.append(np.nan)
+    return np.array(out)
+
+
+def _solve_outcomes(rg, cfg, model):
+    """How solve_weights ends on the first layer's systems: singular (a
+    LinAlgError), non-finite weights, weights not summing to 1, or solved."""
+    layer = rg.ranks[0, 0].astype(float)
+    stacks = rg.ranks[:, 0, :].T.astype(float)
+    out = {"singular": 0, "non-finite": 0, "sum": 0, "solved": 0}
+    for i in np.nonzero(layer >= 0)[0]:
+        nb = select_neighbors(rg.positions[i], rg.positions, cfg, exclude=int(i),
+                              valid=layer >= 0)
+        v2 = float(np.mean(np.var(stacks[nb], axis=1, ddof=1))) if len(nb) >= 2 else 0.0
+        if v2 == 0.0:
+            continue
+        a, b = _variogram_system(rg.positions[nb], rg.positions[i], model, v2)
+        try:
+            w = np.linalg.solve(a, b)[:len(nb)]
+        except np.linalg.LinAlgError:
+            out["singular"] += 1
+            continue
+        if not np.all(np.isfinite(w)):
+            out["non-finite"] += 1
+        elif abs(w.sum() - 1.0) > 1e-6:
+            out["sum"] += 1
+        else:
+            out["solved"] += 1
+    return out
+
+
+def _assert_batch_equals_oracle(rg, cfg, model=MODEL):
+    """Every estimate, the skipped cells and the report's MAE values equal."""
+    oracle = {}
+    for hi, ki, layer in _layers(rg):
+        nt = neighbor_table(rg.positions, layer >= 0, cfg)
+        for method in METHODS:
+            if method == "kriging":
+                est = krige_table(nt, rg.positions, layer, rg.ranks[:, ki, :].T, model)
+            else:
+                est = baseline_table(nt, layer, method)
+            ref = oracle[hi, ki, method] = _oracle(rg, ki, layer, method, cfg, model)
+            np.testing.assert_array_equal(est, ref)
+    for method in METHODS:
+        for rounding in (False, True):
+            rep = loo_evaluate(rg, method, cfg, model, round_estimates=rounding)
+            for hi, ki, layer in _layers(rg):
+                ref = oracle[hi, ki, method]
+                done = ~np.isnan(ref)
+                est = np.round(ref[done]) if rounding else ref[done]
+                errors = np.abs(layer[layer >= 0][done] - est)
+                m, n = rep.entries[rg.altitudes_m[hi], rg.thresholds[ki]]
+                assert n == len(errors)
+                if n:
+                    assert m == float(np.mean(errors))
+                else:
+                    assert np.isnan(m)
+
+
+def _assert_rows_equal_select_neighbors(positions, valid, cfg):
+    nt = neighbor_table(positions, valid, cfg)
+    np.testing.assert_array_equal(nt.targets, np.flatnonzero(valid))
+    for t, i in enumerate(nt.targets):
+        ref = select_neighbors(positions[i], positions, cfg, exclude=int(i), valid=valid)
+        assert nt.count[t] == len(ref)
+        np.testing.assert_array_equal(nt.index[t, :nt.count[t]], ref)
+        d = np.linalg.norm(positions[ref] - positions[i], axis=1)
+        np.testing.assert_array_equal(nt.dist[t, :nt.count[t]], d)
+        assert np.all(nt.index[t, nt.count[t]:] == -1)
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("seed,jitter,r0,m", [
+        (0, 0.0, 90.0, 20),   # regular grid: many distance ties
+        (1, 0.0, 60.0, 3),    # r0 an exact grid distance, ties cut at M
+        (2, 4.0, 75.0, 5),    # irregular positions
+        (3, 0.0, 20.0, 20),   # r0 below the grid spacing: no neighbors
+        (4, 0.0, 60.0 - 1e-7, 20),  # cells at 60 m fall in the search's slack only
+    ])
+    def test_rows_equal_select_neighbors(self, seed, jitter, r0, m):
+        rg = _grid(11, 7, seed=seed, z_frac=0.3, jitter=jitter)
+        _assert_rows_equal_select_neighbors(rg.positions, rg.ranks[0, 0] >= 0,
+                                            KrigingConfig(M=m, r0_m=r0))
+
+    def test_tie_groups_wider_than_one_search(self):
+        # every position 10 times over: the 12th neighbor sits in a group of
+        # 40 samples at 30 m, which the first k-nearest search cuts
+        rg = _grid(5, 4, seed=12, z_frac=0.1)
+        positions = np.repeat(rg.positions, 10, axis=0)
+        valid = np.repeat(rg.ranks[0, 0] >= 0, 10)
+        _assert_rows_equal_select_neighbors(positions, valid, KrigingConfig(M=12, r0_m=45.0))
+
+    @pytest.mark.parametrize("n_valid", [0, 1])
+    def test_fewer_than_two_valid_cells(self, n_valid):
+        rg = _grid(4, 3)
+        valid = np.arange(12) < n_valid
+        nt = neighbor_table(rg.positions, valid, KrigingConfig())
+        assert len(nt.targets) == n_valid and nt.index.shape == (n_valid, 20)
+        assert np.all(nt.count == 0)
+
+
+class TestBatchEqualsOracle:
+    def test_out_of_coverage_masks(self):
+        # sparse coverage within a small r0: m == 0, m == 1, 1 < m < M and
+        # m == M all occur
+        rg = _grid(9, 8, seed=4, z_frac=0.55)
+        cfg = KrigingConfig(M=5, r0_m=45.0)
+        counts = {int(c) for _, _, layer in _layers(rg)
+                  for c in neighbor_table(rg.positions, layer >= 0, cfg).count}
+        assert {0, 1, 2, 3, 5} <= counts
+        _assert_batch_equals_oracle(rg, cfg)
+
+    @pytest.mark.parametrize("m", [1, 3, 20])
+    def test_neighbor_counts(self, m):
+        _assert_batch_equals_oracle(_grid(10, 6, seed=5 + m, z_frac=0.1),
+                                    KrigingConfig(M=m, r0_m=150.0))
+
+    def test_single_altitude_nan_variance(self):
+        rg = _grid(8, 5, n_h=1, seed=6, z_frac=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # ddof=1 over one altitude
+            _assert_batch_equals_oracle(rg, KrigingConfig(M=8, r0_m=90.0))
+
+    def test_constant_stacks_zero_variance(self):
+        _assert_batch_equals_oracle(_grid(8, 6, seed=7, constant_stacks=True),
+                                    KrigingConfig(M=6, r0_m=90.0))
+
+    def test_inflated_model_falls_back(self):
+        rg = _grid(8, 6, seed=75, z_frac=0.2)
+        cfg = KrigingConfig(M=6, r0_m=75.0)
+        outcomes = _solve_outcomes(rg, cfg, INFLATED)
+        assert outcomes["singular"] > 0 and outcomes["sum"] > 0
+        _assert_batch_equals_oracle(rg, cfg, INFLATED)
+
+    def test_overflowing_model_gives_non_finite_weights(self):
+        rg = _grid(6, 5, seed=11)
+        cfg = KrigingConfig(M=6, r0_m=75.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _solve_outcomes(rg, cfg, OVERFLOWING)["non-finite"] > 0
+            _assert_batch_equals_oracle(rg, cfg, OVERFLOWING)
+
+    def test_r0_below_spacing_skips_everything(self):
+        rg = _grid(6, 4, seed=9)
+        _assert_batch_equals_oracle(rg, KrigingConfig(M=20, r0_m=20.0))
+        rep = loo_evaluate(rg, "kriging", KrigingConfig(M=20, r0_m=20.0), MODEL)
+        assert all(n == 0 for _, n in rep.entries.values())
+
+    @pytest.mark.parametrize("nx,ny", [(17, 3), (3, 14)])
+    def test_non_square_grids(self, nx, ny):
+        _assert_batch_equals_oracle(_grid(nx, ny, seed=nx, z_frac=0.15),
+                                    KrigingConfig(M=20, r0_m=120.0))
+
+    def test_irregular_positions(self):
+        _assert_batch_equals_oracle(_grid(9, 7, seed=10, z_frac=0.1, jitter=6.0),
+                                    KrigingConfig(M=10, r0_m=80.0))
+
+    def test_baselines_on_non_integer_values(self):
+        # stacked makima columns are only shown independent for integer
+        # values; other values are interpolated one column at a time
+        rg = _grid(9, 6, seed=13)
+        values = np.random.default_rng(13).normal(size=54)
+        nt = neighbor_table(rg.positions, np.ones(54, dtype=bool),
+                            KrigingConfig(M=8, r0_m=90.0))
+        for method in ("spline", "makima"):
+            ref = [baseline_rank(float(i), row[:c], values[row[:c]], method)
+                   for i, row, c in zip(nt.targets, nt.index, nt.count)]
+            np.testing.assert_array_equal(baseline_table(nt, values, method), ref)
