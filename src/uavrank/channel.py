@@ -19,7 +19,6 @@ class OutOfCoverageError(RuntimeError):
 @dataclass(frozen=True)
 class ChannelMatrix:
     entries: np.ndarray  # complex, shape (N_r, N_t)
-    frequency_hz: float
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -60,7 +59,7 @@ def synthesize_channel(paths, tx: ArrayConfig, rx: ArrayConfig,
         a_tx = steering_vector(tx, _direction(*p.aod), wavelength_m)
         a_rx = steering_vector(rx, _direction(*p.aoa), wavelength_m)
         h += p.gain * np.outer(a_rx, a_tx.conj())
-    return ChannelMatrix(entries=h, frequency_hz=299_792_458.0 / wavelength_m)
+    return ChannelMatrix(entries=h)
 
 
 def channel_rank(h: ChannelMatrix, K: float) -> int:
@@ -120,12 +119,9 @@ def synthesize_channels(paths, n_links: int, tx: ArrayConfig, rx: ArrayConfig,
     a_tx = _steering_rows(tx, paths.aod).conj()
     a_rx = _steering_rows(rx, paths.aoa)
     h = np.zeros((n_links, rx.elements, tx.elements), dtype=complex)
-    # a link's k-th path is added in the k-th pass, keeping the per-link order
-    slot = np.arange(len(paths.cell)) - np.searchsorted(paths.cell, paths.cell)
-    for k in range(int(slot.max(initial=-1)) + 1):
-        sel = slot == k
-        h[paths.cell[sel]] += paths.gain[sel, None, None] * (a_rx[sel, :, None]
-                                                             * a_tx[sel, None, :])
+    # add.at applies the rows in order, so each link sums its paths in path
+    # order from zero, as synthesize_channel does
+    np.add.at(h, paths.cell, paths.gain[:, None, None] * (a_rx[:, :, None] * a_tx[:, None, :]))
     if not np.all(np.isfinite(h)):
         raise ValueError("channel matrix entries must be finite")
     return h

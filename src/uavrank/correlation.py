@@ -113,8 +113,7 @@ def bin_correlations(vectors, positions, d_rx: float,
     centered = centered[ok]
     pos = positions[ok]
     norms = norms[ok]
-    n = len(pos)
-    if n == 0:
+    if len(pos) == 0:
         return np.array([]), np.array([]), np.array([], dtype=int)
 
     unit = centered / norms[:, None]
@@ -122,12 +121,10 @@ def bin_correlations(vectors, positions, d_rx: float,
 
     dist = cdist(pos, pos)
 
-    iu, ju = np.triu_indices(n)  # includes the diagonal (self-pairs)
-    d = dist[iu, ju]
-    phi = corr[iu, ju]
-    keep = d <= max_distance_m + 1e-9
-    d = d[keep]
-    phi = phi[keep]
+    # the upper triangle with the diagonal (self-pairs), gathered row-major
+    keep = np.triu(dist <= max_distance_m + 1e-9)
+    d = dist[keep]
+    phi = corr[keep]
 
     bins = np.round(d / d_rx).astype(int)
     sums = np.bincount(bins, weights=phi)

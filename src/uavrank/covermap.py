@@ -7,7 +7,7 @@ with NaN in memory, the string "Z" in CSV exports, and byte 0 in PGM heatmaps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -211,16 +211,17 @@ def rank_grid_from_json(text: str) -> RankGrid:
     if not isinstance(d, dict):
         raise ValueError("rank grid must be a JSON object")
     try:
+        # integer fields are read as floats: a fraction is rejected, not truncated
         rg = RankGrid(
             positions=np.array(d["positions"], dtype=float),
             altitudes_m=tuple(float(h) for h in d["altitudes_m"]),
             thresholds=tuple(float(k) for k in d["thresholds"]),
-            ranks=np.array(d["ranks"], dtype=int),
-            serving_tower=np.array(d["serving_tower"], dtype=int),
+            ranks=np.array(d["ranks"], dtype=float),
+            serving_tower=np.array(d["serving_tower"], dtype=float),
         )
     except KeyError as e:
         raise ValueError(f"rank grid missing key {e.args[0]!r}") from e
-    except TypeError as e:
+    except (TypeError, OverflowError) as e:
         raise ValueError(f"rank grid has a malformed field: {e}") from e
     n_loc = rg.positions.shape[0] if rg.positions.ndim else 0
     shapes = (
@@ -231,12 +232,22 @@ def rank_grid_from_json(text: str) -> RankGrid:
     for name, got, want in shapes:
         if got != want:
             raise ValueError(f"rank grid {name} has shape {got}, expected {want}")
-    for name, values in (("altitudes_m", rg.altitudes_m), ("thresholds", rg.thresholds)):
+    if not np.all(np.isfinite(rg.positions)):
+        raise ValueError("rank grid positions must be finite")
+    # finite and above a floor, as the CLI's --altitudes and --thresholds must be
+    for name, values, low in (("altitudes_m", rg.altitudes_m, 0.0),
+                              ("thresholds", rg.thresholds, 1.0)):
+        if not all(np.isfinite(v) and v > low for v in values):
+            raise ValueError(f"rank grid {name} must be finite and > {low:g}, got {values}")
         if len(set(values)) != len(values):
             raise ValueError(f"rank grid {name} has duplicate values")
+    for name in ("ranks", "serving_tower"):
+        values = getattr(rg, name)  # NaN and +-inf fail the range test
+        if not np.all((np.abs(values) < 2.0**63) & (values == np.round(values))):
+            raise ValueError(f"rank grid {name} must hold 64-bit integers")
     if np.any(rg.ranks < Z_RANK):
         raise ValueError(f"rank grid ranks must be >= {Z_RANK}")
-    return rg
+    return replace(rg, ranks=rg.ranks.astype(int), serving_tower=rg.serving_tower.astype(int))
 
 
 def grid_to_pgm(g: CoverageGrid, nx: int, ny: int) -> bytes:

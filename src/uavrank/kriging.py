@@ -115,19 +115,19 @@ def krige_rank(target, sample_xy, layer_values, altitude_stacks,
 
     `layer_values` holds the rank of each sample location in that layer;
     `altitude_stacks` (n_samples, N_h) holds the ranks over all altitudes at
-    the layer's threshold, from which the per-location variance is taken.
-    The target's own variance is unknown at prediction time, so the system
-    uses the mean variance over the selected neighbors.  Out-of-coverage
-    samples are marked by negative layer values.
+    the layer's threshold, from which the per-location variance is taken, so
+    N_h must be at least 2.  The target's own variance is unknown at
+    prediction time, so the system uses the mean variance over the selected
+    neighbors.  Out-of-coverage samples are marked by negative layer values.
     """
+    stacks = _altitude_stacks(altitude_stacks)
     sample_xy = np.asarray(sample_xy, dtype=float)
     layer_values = np.asarray(layer_values, dtype=float)
     valid = layer_values >= 0
     neighbors = select_neighbors(target, sample_xy, cfg, exclude=exclude, valid=valid)
     if len(neighbors) == 0:
         raise ValueError("no in-coverage samples within the sampling radius")
-    stacks = np.asarray(altitude_stacks, dtype=float)[neighbors]
-    v2 = float(np.mean(np.var(stacks, axis=1, ddof=1)))
+    v2 = float(np.mean(np.var(stacks[neighbors], axis=1, ddof=1)))
     if v2 == 0.0:
         # all neighbor ranks constant over altitude: singular system
         w = np.zeros(len(neighbors))
@@ -137,6 +137,14 @@ def krige_rank(target, sample_xy, layer_values, altitude_stacks,
     sol = solve_weights(sample_xy[neighbors], target, model, v2)
     est = float(sol.weights @ layer_values[neighbors])
     return KrigingSolution(sol.weights, sol.lagrange, est, sol.fallback)
+
+
+def _altitude_stacks(altitude_stacks) -> np.ndarray:
+    stacks = np.asarray(altitude_stacks, dtype=float)
+    if stacks.shape[1] < 2:
+        raise ValueError(f"Kriging needs at least 2 altitudes, got {stacks.shape[1]}: "
+                         "the rank variance over altitude is undefined")
+    return stacks
 
 
 @dataclass(frozen=True)
@@ -204,15 +212,15 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
     with every arithmetic step in krige_rank's order so the estimates are
     equal to its, fallbacks included.
     """
+    stacks = _altitude_stacks(altitude_stacks)
     sample_xy = np.asarray(sample_xy, dtype=float)
     values = np.asarray(layer_values, dtype=float)
     # row by row, as krige_rank takes the variance of its neighbor rows
-    var = np.var(np.ascontiguousarray(altitude_stacks, dtype=float), axis=1, ddof=1)
+    var = np.var(np.ascontiguousarray(stacks), axis=1, ddof=1)
     est = np.full(len(nt.targets), np.nan)
     has = nt.count > 0
     # the nearest neighbor: the estimate of one neighbor, of v2 == 0 (all
-    # neighbor stacks constant), of a NaN v2 (a single altitude, which makes
-    # the whole system NaN) and of every other fallback
+    # neighbor stacks constant) and of every other fallback
     est[has] = values[nt.index[has, 0]]
     for m in np.unique(nt.count[nt.count >= 2]):
         rows = np.flatnonzero(nt.count == m)
@@ -221,7 +229,7 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
             r = rows[lo:lo + block]
             nb = nt.index[r, :m]
             v2 = np.mean(var[nb], axis=1)
-            solve = np.isfinite(v2) & (v2 != 0.0)
+            solve = v2 != 0.0
             r, nb, v2 = r[solve], nb[solve], v2[solve]
             w = _solve_block(sample_xy[nb], nt.dist[r, :m], model, v2)
             ok = np.all(np.isfinite(w), axis=1) & ~(np.abs(w.sum(axis=1) - 1.0) > 1e-6)

@@ -186,8 +186,6 @@ def _z_interval(z0, dz, zlo, zhi):
 
 def _near_trees(trees, p0, p1, radii):
     """Indices of trees whose horizontal reach may touch the segment."""
-    if len(trees) == 0:
-        return []
     c = np.array([[t.x, t.y] for t in trees])
     u0 = c - p0[:2]
     du = (p1 - p0)[:2]
@@ -264,22 +262,6 @@ def foliage_loss(p0, p1, trees) -> float:
     return total
 
 
-def _segment_clear(s: Scene, p0, p1) -> bool:
-    """True if no building interior or tree trunk interrupts the segment."""
-    for b in s.buildings:
-        if _segment_box_blocked(
-            p0, p1, b.x, b.x + b.w, b.y, b.y + b.h, 0.0, b.height
-        ):
-            return False
-    trees = s.trees
-    if trees:
-        reach = np.array([t.trunk_radius for t in trees])
-        for i in _near_trees(trees, p0, p1, reach):
-            if _trunk_blocked(trees[i], p0, p1):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Path construction
 # ---------------------------------------------------------------------------
@@ -303,10 +285,11 @@ def _make_path(s: Scene, vertices, facets_hit) -> RayPath | None:
     length = sum(float(np.linalg.norm(b - a)) for a, b in segs)
     fol = 0.0
     for a, b in segs:
-        if not _segment_clear(s, a, b):
-            return None
+        for bl in s.buildings:
+            if _segment_box_blocked(a, b, bl.x, bl.x + bl.w, bl.y, bl.y + bl.h, 0.0, bl.height):
+                return None
         fol += foliage_loss(a, b, s.trees)
-    if not np.isfinite(fol):
+    if not np.isfinite(fol):  # a tree trunk blocks a segment
         return None
 
     reflections = []
@@ -371,18 +354,16 @@ def _reflect_once(facet: _Facet, src_image, target):
     return q
 
 
-def trace_paths(s: Scene, tx, rx, max_reflections: int = 2):
-    """All unblocked specular paths from tx to rx up to the reflection cap.
+def trace_paths(s: Scene, tx, rx):
+    """All unblocked specular paths from tx to rx of up to two reflections.
 
     For one receiver point, returns a list of RayPath, empty when the
     receiver is out of coverage.  For an (N, 3) array of receivers, returns
     the same paths of all N links as one PathTable.  Receiver altitudes below
     0.5 m are clamped to 0.5 m.
     """
-    if max_reflections not in (0, 1, 2):
-        raise ValueError(f"max_reflections must be 0, 1 or 2, got {max_reflections}")
     if np.ndim(rx) == 2:
-        return _trace_grid(s, tx, rx, max_reflections)
+        return _trace_grid(s, tx, rx)
     tx = np.asarray(tx, dtype=float)
     rx = np.asarray(rx, dtype=float).copy()
     rx[2] = max(rx[2], MIN_RX_ALTITUDE)
@@ -396,39 +377,37 @@ def trace_paths(s: Scene, tx, rx, max_reflections: int = 2):
     if los is not None:
         paths.append(los)
 
-    if max_reflections >= 1:
-        for f in facets:
-            if not (f.front_of(tx) and f.front_of(rx)):
+    for f in facets:
+        if not (f.front_of(tx) and f.front_of(rx)):
+            continue
+        q = _reflect_once(f, f.mirror(tx), rx)
+        if q is None:
+            continue
+        p = _make_path(s, [tx, q, rx], [f])
+        if p is not None:
+            paths.append(p)
+
+    for i, f1 in enumerate(facets):
+        if not f1.front_of(tx):
+            continue
+        img1 = f1.mirror(tx)
+        for j, f2 in enumerate(facets):
+            if j == i or not f2.front_of(rx):
                 continue
-            q = _reflect_once(f, f.mirror(tx), rx)
-            if q is None:
+            img2 = f2.mirror(img1)
+            q2 = _reflect_once(f2, img2, rx)
+            if q2 is None:
                 continue
-            p = _make_path(s, [tx, q, rx], [f])
+            if not f1.front_of(q2):
+                continue
+            q1 = _reflect_once(f1, img1, q2)
+            if q1 is None:
+                continue
+            if not f2.front_of(q1):
+                continue
+            p = _make_path(s, [tx, q1, q2, rx], [f1, f2])
             if p is not None:
                 paths.append(p)
-
-    if max_reflections >= 2:
-        for i, f1 in enumerate(facets):
-            if not f1.front_of(tx):
-                continue
-            img1 = f1.mirror(tx)
-            for j, f2 in enumerate(facets):
-                if j == i or not f2.front_of(rx):
-                    continue
-                img2 = f2.mirror(img1)
-                q2 = _reflect_once(f2, img2, rx)
-                if q2 is None:
-                    continue
-                if not f1.front_of(q2):
-                    continue
-                q1 = _reflect_once(f1, img1, q2)
-                if q1 is None:
-                    continue
-                if not f2.front_of(q1):
-                    continue
-                p = _make_path(s, [tx, q1, q2, rx], [f1, f2])
-                if p is not None:
-                    paths.append(p)
 
     return paths
 
@@ -551,19 +530,15 @@ def _facing(fa: _FacetArrays, f, g):
     return fa.sign[g] * (best - fa.value[g]) > POINT_TOL
 
 
-def _image_tree(fa: _FacetArrays, tx, max_reflections: int) -> _ImageTree:
+def _image_tree(fa: _FacetArrays, tx) -> _ImageTree:
     n = len(fa.axis)
     front = np.nonzero(fa.sign * (tx[fa.axis] - fa.value) > POINT_TOL)[0]
-    if max_reflections == 0:
-        front = front[:0]
     img1 = _mirror(fa, front, np.tile(tx, (len(front), 1)))
     i = np.repeat(np.arange(len(front)), n)
     j = np.tile(np.arange(n), len(front))
     # a second-order path needs q1 in front of facet j and q2 in front of
     # facet i, so facet pairs that never face each other are dropped
     keep = (j != front[i]) & _facing(fa, front[i], j) & _facing(fa, j, front[i])
-    if max_reflections < 2:
-        keep[:] = False
     i, j = i[keep], j[keep]
     return _ImageTree(
         order=np.concatenate([np.ones(len(front), int), np.full(len(j), 2)]),
@@ -691,7 +666,7 @@ def _chord_fraction(A, B, C, z0, dz, zlo, zhi):
 
 def _tree_terms(ob: _Obstacles, p0, p1, d, seg_len):
     """(trunk blocked, canopy loss in dB) of each segment, as foliage_loss
-    and _segment_clear compute them."""
+    computes them."""
     blocked = np.zeros(len(p0), dtype=bool)
     loss = np.zeros(len(p0))
     if len(ob.reach) == 0:
@@ -723,10 +698,9 @@ def _tree_terms(ob: _Obstacles, p0, p1, d, seg_len):
     B = 2.0 * u0du + 2.0 * k * k * w0 * dz
     C = u0u0 - k * k * w0 * w0
     chord = _chord_fraction(A, B, C, z0, dz, ob.trunk_h[ti], ob.z_apex[ti]) * length
-    per_tree = np.zeros((len(p0), len(ob.reach)))
-    per_tree[si, ti] = np.where(has_len, chord, 0.0) * ob.att[ti]
-    for col in per_tree.T:  # summed in tree order, as foliage_loss does
-        loss += col
+    # np.nonzero lists each segment's trees in ascending order and bincount
+    # adds them in that order from 0.0, as foliage_loss does
+    loss = np.bincount(si, np.where(has_len, chord, 0.0) * ob.att[ti], minlength=len(p0))
     return blocked, loss
 
 
@@ -840,7 +814,7 @@ def _trace_block(s, fa, tree, ob, tx, rx):
     return cols[0], cols[1], cols[2:]
 
 
-def _trace_grid(s: Scene, tx, rx_points, max_reflections: int) -> PathTable:
+def _trace_grid(s: Scene, tx, rx_points) -> PathTable:
     """trace_paths from one transmitter to many receivers, as one PathTable.
 
     `rx_points` is an (N, 3) array; row i of the receivers is `cell` i of the
@@ -854,7 +828,7 @@ def _trace_grid(s: Scene, tx, rx_points, max_reflections: int) -> PathTable:
         raise ValueError("tx and rx must be distinct points")
 
     fa = _facet_arrays(s)
-    tree = _image_tree(fa, tx, max_reflections)
+    tree = _image_tree(fa, tx)
     ob = _obstacles(s)
     step = max(1, _BLOCK // (len(tree.order) + _RX_ELEMENTS))
     parts = []

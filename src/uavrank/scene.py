@@ -8,6 +8,7 @@ safe to share across workers.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -207,24 +208,28 @@ def grid_shape(s: Scene) -> tuple[int, int]:
     return int(round(w / d)), int(round(h / d))
 
 
+def _finite(v) -> bool:
+    """True for a JSON number a float holds: not NaN, inf or a huge int."""
+    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
 def _number(obj: dict, key: str, where: str, default=None, kind=float):
-    """obj[key] converted by `kind`; `default` when the key is absent, or a
-    missing-field error without one."""
+    """obj[key], a finite JSON number, converted by `kind`; `default` when the
+    key is absent, or a missing-field error without one."""
     if key not in obj:
         if default is None:
             raise SceneError(f"{where} missing field {key!r}")
         return default
-    try:
-        return kind(obj[key])
-    except (TypeError, ValueError):
-        raise SceneError(f"{where} field {key!r} must be a number, got {obj[key]!r}") from None
+    if not _finite(obj[key]):
+        raise SceneError(f"{where} field {key!r} must be a number, got {obj[key]!r}")
+    return kind(obj[key])
 
 
 def _numbers(obj: dict, key: str, where: str, default: tuple, length=None) -> tuple:
-    """obj[key] as a tuple of JSON numbers, `default` when the key is absent."""
+    """obj[key] as a tuple of finite JSON numbers, `default` if it is absent."""
     value = obj.get(key, default)
     if (not isinstance(value, (list, tuple))
-            or not all(isinstance(v, (int, float)) for v in value)
+            or not all(_finite(v) for v in value)
             or (length is not None and len(value) != length)):
         size = f"{length} " if length is not None else ""
         raise SceneError(f"{where} field {key!r} must be an array of {size}numbers, "

@@ -61,7 +61,7 @@ def test_01_two_ray_geometry_and_friis():
 
         # receiver placed so the direct path is exactly 100 m long
         rx = (np.sqrt(100.0**2 - 20.0**2), 0.0, 30.0)
-        los = trace_paths(flat, (0, 0, 10), rx, max_reflections=0)
+        los = [p for p in trace_paths(flat, (0, 0, 10), rx) if p.order == 0]
         one = ArrayConfig(elements=1)
         got = rss(los, one, one, 10.0, flat.wavelength_m)
         lam = flat.wavelength_m
@@ -89,7 +89,7 @@ def test_03_rank_law_against_svd_oracle():
         rng = np.random.default_rng(12345)
         for _ in range(1000):
             h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            cm = ChannelMatrix(h, 3.4e9)
+            cm = ChannelMatrix(h)
             # independent oracle: singular values from the eigendecomposition
             sv = np.sqrt(np.maximum(np.linalg.eigvalsh(h.conj().T @ h)[::-1], 0.0))
             ranks = []
@@ -100,12 +100,12 @@ def test_03_rank_law_against_svd_oracle():
                 ranks.append(got)
             assert ranks == sorted(ranks)  # monotone in K
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        base = channel_rank(ChannelMatrix(h, 3.4e9), 100.0)
+        base = channel_rank(ChannelMatrix(h), 100.0)
         for _ in range(100):
             c = complex(rng.normal(), rng.normal())
             if abs(c) < 1e-6:
                 continue
-            assert channel_rank(ChannelMatrix(c * h, 3.4e9), 100.0) == base
+            assert channel_rank(ChannelMatrix(c * h), 100.0) == base
         assert time.perf_counter() - t0 < 10.0
 
 

@@ -178,6 +178,14 @@ class TestMalformedArtifacts:
         ("serving_tower", [1], "serving_tower has shape"),
         ("ranks", [[[1, -2]]], "ranks must be >= -1"),
         ("altitudes_m", [[30.0]], "malformed field"),
+        ("ranks", [[[float("inf"), 2]]], "ranks must hold 64-bit integers"),
+        ("ranks", [[[1.5, 2]]], "ranks must hold 64-bit integers"),
+        ("ranks", [[[10**400, 2]]], "malformed field: int too large"),
+        ("serving_tower", [1.7, 1], "serving_tower must hold 64-bit integers"),
+        ("serving_tower", [2**63, 1], "serving_tower must hold 64-bit integers"),
+        ("altitudes_m", [float("nan")], "altitudes_m must be finite and > 0, got (nan,)"),
+        ("thresholds", [0.5], "thresholds must be finite and > 1, got (0.5,)"),
+        ("positions", [[None, 0.0], [30.0, 0.0]], "positions must be finite"),
     ])
     def test_inconsistent_rank_grid(self, tmp_path, capsys, field, value, text):
         grid = dict(self.GRID, **{field: value})
@@ -194,6 +202,19 @@ class TestMalformedArtifacts:
         (tmp_path / "rank_grid.json").write_text(json.dumps(grid))
         rc = main(["fit", "--rank-grid", str(tmp_path), "--out", str(tmp_path / "fit")])
         self._assert_input_error(rc, capsys, f"{field} has duplicate values")
+
+    def test_kriging_needs_two_altitudes(self, tmp_path, capsys):
+        grid = tmp_path / "grid"
+        assert main(["synth", "--out", str(grid), "--nx", "8", "--ny", "8",
+                     "--altitudes", "30"]) == EXIT_OK
+        assert main(["fit", "--rank-grid", str(grid), "--out", str(grid)]) == EXIT_OK
+        argv = ["interpolate", "--rank-grid", str(grid),
+                "--model", str(grid / "correlation_model.json"), "--out"]
+        rc = main(argv + [str(tmp_path / "kriging"), "--method", "kriging"])
+        self._assert_input_error(rc, capsys, "Kriging needs at least 2 altitudes, got 1")
+        assert not (tmp_path / "kriging" / "mae_report.csv").exists()
+        # the baselines need no variance over altitude
+        assert main(argv + [str(tmp_path / "spline"), "--method", "spline"]) == EXIT_OK
 
     def test_model_missing_key(self, tmp_path, capsys):
         synth_out = tmp_path / "synth"
@@ -215,6 +236,14 @@ class TestMalformedArtifacts:
          "towers[0] field 'x' must be a number, got None"),
         ({"extent_m": 5, "towers": []},
          "scene field 'extent_m' must be an array of 2 numbers, got 5"),
+        ({"frequency_hz": 10**400, "towers": []},
+         "scene field 'frequency_hz' must be a number, got 1000"),
+        ({"towers": [{"id": float("inf"), "x": 0, "y": 0}]},
+         "towers[0] field 'id' must be a number, got inf"),
+        ({"trees": [{"x": float("nan"), "y": 0}], "towers": []},
+         "trees[0] field 'x' must be a number, got nan"),
+        ({"extent_m": [float("inf"), 100.0], "towers": []},
+         "scene field 'extent_m' must be an array of 2 numbers, got [inf, 100.0]"),
     ])
     def test_scene_field_types(self, tmp_path, capsys, doc, text):
         bad = tmp_path / "scene.json"

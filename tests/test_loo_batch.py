@@ -6,8 +6,6 @@ equal _predict_one's, which runs select_neighbors, krige_rank and
 baseline_rank for one cell.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -89,19 +87,19 @@ def _solve_outcomes(rg, cfg, model):
     return out
 
 
-def _assert_batch_equals_oracle(rg, cfg, model=MODEL):
+def _assert_batch_equals_oracle(rg, cfg, model=MODEL, methods=METHODS):
     """Every estimate, the skipped cells and the report's MAE values equal."""
     oracle = {}
     for hi, ki, layer in _layers(rg):
         nt = neighbor_table(rg.positions, layer >= 0, cfg)
-        for method in METHODS:
+        for method in methods:
             if method == "kriging":
                 est = krige_table(nt, rg.positions, layer, rg.ranks[:, ki, :].T, model)
             else:
                 est = baseline_table(nt, layer, method)
             ref = oracle[hi, ki, method] = _oracle(rg, ki, layer, method, cfg, model)
             np.testing.assert_array_equal(est, ref)
-    for method in METHODS:
+    for method in methods:
         for rounding in (False, True):
             rep = loo_evaluate(rg, method, cfg, model, round_estimates=rounding)
             for hi, ki, layer in _layers(rg):
@@ -176,10 +174,16 @@ class TestBatchEqualsOracle:
                                     KrigingConfig(M=m, r0_m=150.0))
 
     def test_single_altitude_nan_variance(self):
+        # the variance over one altitude (ddof=1) is NaN: both Kriging paths
+        # reject the grid, while the baselines, which need no variance, run
         rg = _grid(8, 5, n_h=1, seed=6, z_frac=0.1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # ddof=1 over one altitude
-            _assert_batch_equals_oracle(rg, KrigingConfig(M=8, r0_m=90.0))
+        cfg = KrigingConfig(M=8, r0_m=90.0)
+        layer = rg.ranks[0, 0].astype(float)
+        with pytest.raises(ValueError, match="at least 2 altitudes"):
+            loo_evaluate(rg, "kriging", cfg, MODEL)
+        with pytest.raises(ValueError, match="at least 2 altitudes"):
+            _predict_one(0, rg.positions, layer, rg.ranks[:, 0, :].T, "kriging", cfg, MODEL)
+        _assert_batch_equals_oracle(rg, cfg, methods=("spline", "makima"))
 
     def test_constant_stacks_zero_variance(self):
         _assert_batch_equals_oracle(_grid(8, 6, seed=7, constant_stacks=True),

@@ -232,14 +232,6 @@ class TestTraceInterface:
         with pytest.raises(ValueError):
             trace_paths(FLAT, (0, 0, 10), (0, 0, 10))
 
-    def test_rejects_bad_reflection_cap(self):
-        with pytest.raises(ValueError):
-            trace_paths(FLAT, (0, 0, 10), (1, 0, 10), max_reflections=3)
-
-    def test_reflection_cap_zero_gives_los_only(self):
-        paths = trace_paths(FLAT, (0, 0, 10), (100, 0, 30), max_reflections=0)
-        assert [p.kind for p in paths] == ["los"]
-
     def test_facet_count(self):
         s = Scene(buildings=(Building(x=10, y=10, w=5, h=5, height=8,
                                       material=CONCRETE),))

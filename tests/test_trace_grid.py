@@ -148,24 +148,11 @@ def test_sweeps_do_not_depend_on_the_channel_block(monkeypatch):
                           equal_nan=True)
 
 
-@pytest.mark.parametrize("cap", (0, 1))
-def test_reflection_cap(cap):
-    s = random_scene(3)
-    tx = s.towers[0].position
-    rx = receivers(s, tx)
-    table = trace_paths(s, tx, rx, max_reflections=cap)
-    assert table.order.max(initial=0) <= cap
-    counts = np.bincount(table.cell, minlength=len(rx))
-    assert counts.tolist() == [len(trace_paths(s, tx, p, cap)) for p in rx]
-
-
 def test_rejects_what_trace_paths_rejects():
     s = random_scene(0)
     tx = s.towers[0].position
     with pytest.raises(ValueError):
         trace_paths(s, tx, [tx])
-    with pytest.raises(ValueError):
-        trace_paths(s, tx, [(1.0, 1.0, 30.0)], max_reflections=3)
 
 
 def test_no_receivers():
