@@ -36,13 +36,16 @@ def baseline_table(nt: NeighborTable, values, method: str) -> np.ndarray:
     """baseline_rank(i, neighbors of i, their values, method) for every target
     i of `nt`, NaN where it has fewer than 2 neighbors.
 
-    Targets whose sorted neighbor indices lie at the same offsets from them
-    share one interpolant over those offsets, with one value column per
-    target; shifting integer indices is exact, so every column evaluates to
-    baseline_rank's estimate.
+    `values` holds one value per sample, (n,), or one row per layer, (L, n),
+    for layers that share the neighbor table; the estimates have the same
+    leading shape, (T,) or (L, T).  Targets whose sorted neighbor indices lie
+    at the same offsets from them share one interpolant over those offsets,
+    with one value column per target and layer; shifting integer indices is
+    exact, so every column evaluates to baseline_rank's estimate.
     """
     values = np.asarray(values, dtype=float)
-    est = np.full(len(nt.targets), np.nan)
+    layers = values.reshape(-1, values.shape[-1])
+    est = np.full((len(layers), len(nt.targets)), np.nan)
     for m in np.unique(nt.count[nt.count >= 2]):
         rows = np.flatnonzero(nt.count == m)
         nb = np.sort(nt.index[rows, :m], axis=1)
@@ -52,12 +55,13 @@ def baseline_table(nt: NeighborTable, values, method: str) -> np.ndarray:
         order = np.argsort(group, kind="stable")
         bounds = np.cumsum(np.bincount(group))[:-1]
         for x, members in zip(patterns, np.split(order, bounds)):
-            y = values[nb[members]].T  # (m, targets)
+            y = layers[:, nb[members]].reshape(-1, m).T  # (m, layers x targets)
             if method == "makima" and m > 2 and not _columns_independent(x, y):
-                est[rows[members]] = [_interpolate(x, col, 0.0, method) for col in y.T]
+                col_est = [_interpolate(x, col, 0.0, method) for col in y.T]
             else:
-                est[rows[members]] = _interpolate(x, y, 0.0, method)
-    return est
+                col_est = _interpolate(x, y, 0.0, method)
+            est[:, rows[members]] = np.reshape(col_est, (len(layers), len(members)))
+    return est.reshape(values.shape[:-1] + est.shape[-1:])
 
 
 def _interpolate(x, y, at: float, method: str):

@@ -39,40 +39,47 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
     value withheld.  Out-of-coverage cells are excluded both as targets and as
     neighbors; cells with no eligible neighbors are skipped and not counted.
 
-    Each layer is predicted in one batched pass whose estimates equal the
-    per-cell _predict_one; layers with the same coverage share one neighbor
-    search.
+    Only the layers at `altitudes_m` x `thresholds` (default: all) are
+    evaluated.  Layers with the same coverage share one neighbor search and
+    are predicted in one batched pass: the baselines of all of them share one
+    interpolant per neighbor pattern, and Kriging solves each system once per
+    threshold, since its weights depend on the threshold's altitude stacks
+    but not on the altitude of the layer.  Every estimate equals the per-cell
+    _predict_one.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     altitudes = tuple(altitudes_m) if altitudes_m is not None else rg.altitudes_m
     ks = tuple(thresholds) if thresholds is not None else rg.thresholds
     pos = rg.positions
-    tables = {}  # valid-mask bytes -> NeighborTable
-    entries = {}
+    # (valid-mask bytes, threshold index for Kriging) -> (mask, [(hi, ki)])
+    groups = {}
     for h in altitudes:
         hi = rg.altitudes_m.index(h)
         for K in ks:
             ki = rg.thresholds.index(K)
-            layer = rg.ranks[hi, ki].astype(float)
-            valid = layer >= 0
-            nt = tables.get(valid.tobytes())
-            if nt is None:
-                nt = tables[valid.tobytes()] = neighbor_table(pos, valid, cfg)
-            if method == "kriging":
-                est = krige_table(nt, pos, layer, rg.ranks[:, ki, :].T, model)
-                done = nt.count >= 1
-            else:
-                est = baseline_table(nt, layer, method)
-                done = nt.count >= 2
-            est = est[done]
+            valid = rg.ranks[hi, ki] >= 0
+            key = (valid.tobytes(), ki if method == "kriging" else None)
+            groups.setdefault(key, (valid, []))[1].append((hi, ki))
+    tables = {}  # valid-mask bytes -> NeighborTable
+    entries = {}
+    for (mask, ki), (valid, members) in groups.items():
+        nt = tables.get(mask)
+        if nt is None:
+            nt = tables[mask] = neighbor_table(pos, valid, cfg)
+        layers = rg.ranks[tuple(zip(*members))].astype(float)  # (L, n)
+        if method == "kriging":
+            est = krige_table(nt, pos, layers, rg.ranks[:, ki, :].T, model)
+            done = nt.count >= 1
+        else:
+            est = baseline_table(nt, layers, method)
+            done = nt.count >= 2
+        for (hi, kj), layer, e in zip(members, layers, est[:, done]):
             if round_estimates:
-                est = np.round(est)
-            errors = np.abs(layer[nt.targets[done]] - est)
-            if len(errors):
-                entries[(float(h), float(K))] = (float(np.mean(errors)), len(errors))
-            else:
-                entries[(float(h), float(K))] = (np.nan, 0)
+                e = np.round(e)
+            errors = np.abs(layer[nt.targets[done]] - e)
+            key = (float(rg.altitudes_m[hi]), float(rg.thresholds[kj]))
+            entries[key] = (float(np.mean(errors)), len(errors)) if len(errors) else (np.nan, 0)
     return MAEReport(method, entries)
 
 

@@ -208,20 +208,25 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
     """krige_rank(...).estimate for every target of `nt` with the target
     excluded, NaN where it has no neighbor.
 
-    The systems of targets with equally many neighbors are solved together,
-    with every arithmetic step in krige_rank's order so the estimates are
-    equal to its, fallbacks included.
+    `layer_values` holds one layer, (n,), or one row per layer, (L, n), for
+    layers that share the neighbor table and the altitude stacks; the
+    estimates have the same leading shape, (T,) or (L, T).  The weights do
+    not depend on the layer, so each system is solved once and applied to
+    every layer.  The systems of targets with equally many neighbors are
+    solved together, with every arithmetic step in krige_rank's order so the
+    estimates are equal to its, fallbacks included.
     """
     stacks = _altitude_stacks(altitude_stacks)
     sample_xy = np.asarray(sample_xy, dtype=float)
     values = np.asarray(layer_values, dtype=float)
+    layers = values.reshape(-1, values.shape[-1])
     # row by row, as krige_rank takes the variance of its neighbor rows
     var = np.var(np.ascontiguousarray(stacks), axis=1, ddof=1)
-    est = np.full(len(nt.targets), np.nan)
+    est = np.full((len(layers), len(nt.targets)), np.nan)
     has = nt.count > 0
     # the nearest neighbor: the estimate of one neighbor, of v2 == 0 (all
     # neighbor stacks constant) and of every other fallback
-    est[has] = values[nt.index[has, 0]]
+    est[:, has] = layers[:, nt.index[has, 0]]
     for m in np.unique(nt.count[nt.count >= 2]):
         rows = np.flatnonzero(nt.count == m)
         block = max(1, _SOLVE_ENTRIES // (m + 1) ** 2)
@@ -233,8 +238,10 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
             r, nb, v2 = r[solve], nb[solve], v2[solve]
             w = _solve_block(sample_xy[nb], nt.dist[r, :m], model, v2)
             ok = np.all(np.isfinite(w), axis=1) & ~(np.abs(w.sum(axis=1) - 1.0) > 1e-6)
-            est[r[ok]] = np.matmul(w[ok, None, :], values[nb[ok]][:, :, None])[:, 0, 0]
-    return est
+            r, nb, w = r[ok], nb[ok], w[ok, None, :]
+            for e, layer in zip(est, layers):
+                e[r] = np.matmul(w, layer[nb][:, :, None])[:, 0, 0]
+    return est.reshape(values.shape[:-1] + est.shape[-1:])
 
 
 def _solve_block(xy, d_ts, model: CorrelationModel, v2) -> np.ndarray:

@@ -423,8 +423,12 @@ def trace_paths(s: Scene, tx, rx):
 # ---------------------------------------------------------------------------
 
 # Elements per (candidate x receiver) and (segment x obstacle) block; bounds
-# the temporaries of one block to about 64 kB per float array.
-_BLOCK = 1 << 13
+# the temporaries of one block to about 128 kB per float array.  A smaller
+# block pays numpy's per-call cost for a few receivers at a time: the rank
+# grid of a 20-building scene on 36 x 71 cells at 9 altitudes took 1.06 s at
+# 1 << 13, 0.77 s at 1 << 14 and 0.62 s at 1 << 15 (2-core VM), and larger
+# blocks raise the peak memory.
+_BLOCK = 1 << 14
 # Elements a receiver adds to a block besides its candidates: its own point,
 # LOS segment, angles and gains, which dominate when a scene has few facets.
 _RX_ELEMENTS = 16
@@ -530,6 +534,43 @@ def _facing(fa: _FacetArrays, f, g):
     return fa.sign[g] * (best - fa.value[g]) > POINT_TOL
 
 
+# The 8 corners of a box: corner k takes the upper bound on the axes whose bit
+# is set in k.
+_CORNERS = (np.arange(8)[:, None] >> np.arange(3) & 1).astype(bool)
+
+
+def _projection_meets(fa: _FacetArrays, src, f, g):
+    """False where facet g, projected from src onto facet f's plane, misses
+    facet f.
+
+    A second-order path runs straight from src, the image of tx in facet f,
+    through q1 on facet f to q2 on facet g, so q1 is q2 projected from src.
+    The corners of g, grown by 1e-6 m and clipped to the front of f (where q2
+    must lie), project with _reflect_once's formula to a convex polygon that
+    holds every such q1; its bounding box must meet f grown by the same
+    margin.  The caller has kept only pairs where g reaches in front of f.
+    Pairs with the infinite ground are kept.
+    """
+    meets = ~(np.all(np.isfinite(fa.lo[f]), axis=1) & np.all(np.isfinite(fa.lo[g]), axis=1))
+    k = np.flatnonzero(~meets)
+    f, g, src = f[k], g[k], src[k]
+    rows = np.arange(len(k))
+    a, v, ahead = fa.axis[f], fa.value[f], fa.sign[f] > 0
+    lo, hi = fa.lo[g] - 1e-6, fa.hi[g] + 1e-6
+    lo[rows, a] = np.where(ahead, np.maximum(lo[rows, a], v), lo[rows, a])
+    hi[rows, a] = np.where(ahead, hi[rows, a], np.minimum(hi[rows, a], v))
+    c = np.where(_CORNERS, hi[:, None, :], lo[:, None, :])  # (P, 8, 3)
+    s_a = src[rows, a][:, None]
+    t = (v[:, None] - s_a) / (np.take_along_axis(c, a[:, None, None], axis=2)[:, :, 0] - s_a)
+    p = src[:, None, :] + t[:, :, None] * (c - src[:, None, :])
+    o = fa.others[f]
+    p = np.take_along_axis(p, o[:, None, :], axis=2)  # (P, 8, 2) in-plane
+    meets[k] = np.all((p.min(axis=1) <= np.take_along_axis(fa.hi[f], o, axis=1) + 1e-6)
+                      & (p.max(axis=1) >= np.take_along_axis(fa.lo[f], o, axis=1) - 1e-6),
+                      axis=1)
+    return meets
+
+
 def _image_tree(fa: _FacetArrays, tx) -> _ImageTree:
     n = len(fa.axis)
     front = np.nonzero(fa.sign * (tx[fa.axis] - fa.value) > POINT_TOL)[0]
@@ -539,6 +580,8 @@ def _image_tree(fa: _FacetArrays, tx) -> _ImageTree:
     # a second-order path needs q1 in front of facet j and q2 in front of
     # facet i, so facet pairs that never face each other are dropped
     keep = (j != front[i]) & _facing(fa, front[i], j) & _facing(fa, j, front[i])
+    i, j = i[keep], j[keep]
+    keep = _projection_meets(fa, img1[i], front[i], j)
     i, j = i[keep], j[keep]
     return _ImageTree(
         order=np.concatenate([np.ones(len(front), int), np.full(len(j), 2)]),

@@ -15,6 +15,9 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
 EPSILON_0 = 8.8541878128e-12
+# Receiver grids larger than this are rejected: a sweep holds several arrays
+# per cell, so a larger grid would exhaust memory long before it finished.
+MAX_GRID_CELLS = 10**7
 
 
 class SceneError(ValueError):
@@ -169,6 +172,11 @@ class Scene:
         w, h = self.extent_m
         if w <= 0 or h <= 0:
             raise SceneError(f"extent must be positive, got {self.extent_m}")
+        d = self.grid_spacing_m
+        # w / d may overflow to inf, which grid_shape cannot round: test it first
+        if not max(w / d, h / d) <= MAX_GRID_CELLS or np.prod(grid_shape(self)) > MAX_GRID_CELLS:
+            raise SceneError(f"extent {w:g} x {h:g} m at grid spacing {d:g} m gives more "
+                             f"than {MAX_GRID_CELLS} grid cells")
         alts = tuple(float(a) for a in self.altitudes_m)
         if any(b <= a for a, b in zip(alts, alts[1:])):
             raise SceneError("altitudes must be strictly increasing")
@@ -222,6 +230,9 @@ def _number(obj: dict, key: str, where: str, default=None, kind=float):
         return default
     if not _finite(obj[key]):
         raise SceneError(f"{where} field {key!r} must be a number, got {obj[key]!r}")
+    if kind is int and obj[key] != int(obj[key]):
+        # rejected, not truncated
+        raise SceneError(f"{where} field {key!r} must be an integer, got {obj[key]!r}")
     return kind(obj[key])
 
 

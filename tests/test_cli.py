@@ -244,6 +244,17 @@ class TestMalformedArtifacts:
          "trees[0] field 'x' must be a number, got nan"),
         ({"extent_m": [float("inf"), 100.0], "towers": []},
          "scene field 'extent_m' must be an array of 2 numbers, got [inf, 100.0]"),
+        # extent / spacing overflows a float
+        ({"extent_m": [1e308, 1e308], "grid_spacing_m": 1e-10,
+          "towers": [{"id": 1, "x": 0, "y": 0}]},
+         "extent 1e+308 x 1e+308 m at grid spacing 1e-10 m gives more than 10000000 "
+         "grid cells"),
+        ({"extent_m": [1e5, 1e5], "grid_spacing_m": 1.0, "towers": []},
+         "extent 100000 x 100000 m at grid spacing 1 m gives more than"),
+        ({"towers": [{"id": 1.5, "x": 0, "y": 0}]},
+         "towers[0] field 'id' must be an integer, got 1.5"),
+        ({"towers": [{"id": 1, "x": 0, "y": 0, "array": {"elements": 4.7}}]},
+         "towers[0] field 'elements' must be an integer, got 4.7"),
     ])
     def test_scene_field_types(self, tmp_path, capsys, doc, text):
         bad = tmp_path / "scene.json"

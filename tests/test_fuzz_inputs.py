@@ -7,12 +7,12 @@ turns into exit code 2; any other exception would end in a traceback.
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavrank.covermap import Z_RANK, rank_grid_from_json
 from uavrank.evaluate import Trace
-from uavrank.scene import SceneError, load_scene
+from uavrank.scene import MAX_GRID_CELLS, SceneError, grid_shape, load_scene
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -93,11 +93,16 @@ TRACES = st.builds(
 
 @FUZZ
 @given(st.one_of(SCENES.map(json.dumps), st.text(max_size=40)))
+@example(json.dumps({"extent_m": [1e308, 1e308], "grid_spacing_m": 1e-10,
+                     "towers": [{"id": 1, "x": 0, "y": 0}]}))
 def test_load_scene_returns_or_raises_scene_error(text):
     try:
-        load_scene(text)
+        s = load_scene(text)
     except SceneError:
-        pass
+        return
+    # the sweeps can build the grid of a loaded scene
+    nx, ny = grid_shape(s)
+    assert nx * ny <= MAX_GRID_CELLS
 
 
 @FUZZ

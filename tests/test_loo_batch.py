@@ -9,6 +9,7 @@ baseline_rank for one cell.
 import numpy as np
 import pytest
 
+from uavrank import baseline
 from uavrank.baseline import baseline_rank, baseline_table
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import RankGrid, Z_RANK
@@ -229,3 +230,87 @@ class TestBatchEqualsOracle:
             ref = [baseline_rank(float(i), row[:c], values[row[:c]], method)
                    for i, row, c in zip(nt.targets, nt.index, nt.count)]
             np.testing.assert_array_equal(baseline_table(nt, values, method), ref)
+
+
+class TestStackedLayers:
+    """Layers that share a neighbor table are predicted in one call; each
+    row of the result equals a call on that layer alone."""
+
+    def test_baselines_equal_single_layer_calls(self):
+        rg = _grid(9, 7, n_h=3, n_k=2, seed=14)
+        nt = neighbor_table(rg.positions, np.ones(63, dtype=bool), KrigingConfig(M=8, r0_m=90.0))
+        layers = rg.ranks.reshape(6, 63).astype(float)
+        for method in ("spline", "makima"):
+            stacked = baseline_table(nt, layers, method)
+            assert stacked.shape == (6, 63)
+            for layer, row in zip(layers, stacked):
+                np.testing.assert_array_equal(row, baseline_table(nt, layer, method))
+
+    def test_makima_columns_dependent_only_once_stacked(self, monkeypatch):
+        # integer layers near 0 and near 1e7: each passes _columns_independent
+        # alone, and every neighbor pattern fails it once they are stacked, so
+        # the stacked call interpolates one column at a time
+        rg = _grid(40, 1, seed=15)
+        rng = np.random.default_rng(15)
+        layers = np.stack([rng.integers(0, 50, 40), 10**7 + rng.integers(0, 50, 40)]).astype(float)
+        nt = neighbor_table(rg.positions, np.ones(40, dtype=bool), KrigingConfig(M=6, r0_m=90.0))
+        calls, independent = [], baseline._columns_independent
+
+        def spy(x, y):
+            calls.append(independent(x, y))
+            return calls[-1]
+
+        monkeypatch.setattr(baseline, "_columns_independent", spy)
+        stacked = baseline_table(nt, layers, "makima")
+        assert calls and not any(calls)
+        calls.clear()
+        for layer, row in zip(layers, stacked):
+            single = baseline_table(nt, layer, "makima")
+            np.testing.assert_array_equal(row, single)
+            ref = [baseline_rank(float(i), nb[:c], layer[nb[:c]], "makima")
+                   for i, nb, c in zip(nt.targets, nt.index, nt.count)]
+            np.testing.assert_array_equal(single, ref)
+        assert calls and all(calls)
+
+    @pytest.mark.parametrize("model", [MODEL, INFLATED])
+    def test_kriging_equals_single_layer_calls(self, model):
+        # the altitude layers of one threshold share the neighbor table and
+        # the stacks, so one set of weights serves all of them
+        rg = _grid(8, 6, n_h=4, seed=16)
+        cfg = KrigingConfig(M=6, r0_m=75.0)
+        nt = neighbor_table(rg.positions, np.ones(48, dtype=bool), cfg)
+        for ki in range(len(rg.thresholds)):
+            stacks = rg.ranks[:, ki, :].T
+            layers = rg.ranks[:, ki, :].astype(float)
+            stacked = krige_table(nt, rg.positions, layers, stacks, model)
+            assert stacked.shape == (4, 48)
+            for layer, row in zip(layers, stacked):
+                np.testing.assert_array_equal(row, krige_table(nt, rg.positions, layer,
+                                                               stacks, model))
+                np.testing.assert_array_equal(row, _oracle(rg, ki, layer, "kriging", cfg, model))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_layer_subsets_with_mixed_coverage(self, method):
+        # four altitudes, three thresholds: some layers share a coverage mask
+        # with another layer, at the same or at another threshold, and some
+        # have their own; only the requested layers are reported.  At the
+        # third threshold the southern half is constant over altitude, so
+        # Kriging falls back there, and only there.
+        rg = _grid(9, 6, n_h=4, n_k=3, seed=17, z_frac=0.2)
+        mask = rg.ranks[0, 0] == Z_RANK
+        for hi, ki in ((1, 0), (2, 1), (3, 2)):
+            rg.ranks[hi, ki] = np.where(mask, Z_RANK, np.maximum(rg.ranks[hi, ki], 1))
+        rg.ranks[:, 2, :27] = rg.ranks[3, 2, :27]
+        cfg = KrigingConfig(M=7, r0_m=75.0)
+        altitudes, thresholds = rg.altitudes_m[1:], rg.thresholds[::2]
+        rep = loo_evaluate(rg, method, cfg, MODEL, altitudes_m=altitudes,
+                           thresholds=thresholds)
+        assert set(rep.entries) == {(h, k) for h in altitudes for k in thresholds}
+        for h in altitudes:
+            for K in thresholds:
+                ki = rg.thresholds.index(K)
+                layer = rg.layer(h, K).astype(float)
+                ref = _oracle(rg, ki, layer, method, cfg, MODEL)
+                done = ~np.isnan(ref)
+                errors = np.abs(layer[layer >= 0][done] - ref[done])
+                assert rep.entries[h, K] == (float(np.mean(errors)), len(errors))

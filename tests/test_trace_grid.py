@@ -2,13 +2,15 @@
 sweeps built on it, against the per-link trace_paths oracle on seeded random
 scenes."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from uavrank.channel import channel_rank, rss, synthesize_channel
-from uavrank import covermap
+from uavrank import covermap, raytrace
 from uavrank.covermap import Z_RANK, compute_coverage, compute_rank_grid
-from uavrank.raytrace import PathRow, trace_paths
+from uavrank.raytrace import PathRow, PathTable, trace_paths
 from uavrank.scene import BUILTIN_MATERIALS, ArrayConfig, Building, Scene, Tower, Tree
 
 SEEDS = range(24)
@@ -42,6 +44,46 @@ def random_scene(seed: int) -> Scene:
     )
     return Scene(extent_m=(EXTENT, EXTENT), grid_spacing_m=40.0, altitudes_m=(1.5, 30.0),
                  buildings=buildings, trees=trees, towers=towers)
+
+
+def touching_scene(seed: int) -> Scene:
+    """Two rows of buildings that share walls with their neighbours and with
+    the other row, many of them lower than the tower, trees between them and
+    one tower outside every footprint."""
+    rng = np.random.default_rng(seed)
+    buildings, y = [], 30.0
+    for _ in range(2):
+        x, depth = float(rng.uniform(10, 40)), float(rng.uniform(15, 40))
+        for _ in range(rng.integers(2, 5)):
+            w = float(rng.uniform(10, 35))
+            buildings.append(Building(x=x, y=y, w=w, h=depth,
+                                      height=float(rng.uniform(3, 25)),
+                                      material=BUILTIN_MATERIALS["concrete"]))
+            x += w
+        y += depth
+    trees = tuple(Tree(x=float(rng.uniform(0, EXTENT)), y=float(rng.uniform(y + 5, EXTENT)),
+                       trunk_height=4.0, canopy_height=6.0, canopy_base_radius=3.0)
+                  for _ in range(3))
+    tower = Tower(id=1, x=float(rng.uniform(20, EXTENT - 20)),
+                  y=float(rng.uniform(y + 10, EXTENT - 10)), height=float(rng.uniform(12, 30)))
+    return Scene(extent_m=(EXTENT, EXTENT), grid_spacing_m=40.0, altitudes_m=(1.5, 30.0),
+                 buildings=tuple(buildings), trees=trees, towers=(tower,))
+
+
+# The receiver of corner_scene's path through two corners.
+CORNER_RX = (120.0, 156.25, 21.25)
+
+
+def corner_scene() -> Scene:
+    """A second-order path that reflects at a roof corner, (130, 130, 10), and
+    at the top corner of a wall, (140, 138.75, 13.75), to CORNER_RX.  The
+    image of the tower in the roof, (90, 95, -5), sees both corners on one
+    line, so the wall, seen from that image, meets the roof in one point."""
+    concrete = BUILTIN_MATERIALS["concrete"]
+    return Scene(extent_m=(EXTENT, EXTENT), grid_spacing_m=40.0, altitudes_m=(1.5, 30.0),
+                 buildings=(Building(100.0, 100.0, 30.0, 30.0, 10.0, concrete),
+                            Building(140.0, 138.75, 20.0, 31.25, 13.75, concrete)),
+                 towers=(Tower(id=1, x=90.0, y=95.0, height=25.0),))
 
 
 def special_receivers(s: Scene, tx) -> np.ndarray:
@@ -88,6 +130,46 @@ def test_table_matches_trace_paths(seed):
                 np.testing.assert_allclose(p.aod, table.aod[r], rtol=0, atol=1e-9)
                 np.testing.assert_allclose(p.aoa, table.aoa[r], rtol=0, atol=1e-9)
                 assert abs(p.gain - table.gain[r]) <= 1e-9 * max(1.0, abs(p.gain))
+
+
+def _columns(table: PathTable):
+    return [(c.dtype, c.shape, c.tobytes())
+            for c in (getattr(table, f.name) for f in fields(PathTable))]
+
+
+@pytest.mark.parametrize("block", [1 << 6, 1 << 20])
+def test_table_does_not_depend_on_block(monkeypatch, block):
+    s = random_scene(4)
+    tx = s.towers[0].position
+    rx = receivers(s, tx)
+    table = trace_paths(s, tx, rx)
+    monkeypatch.setattr(raytrace, "_BLOCK", block)
+    assert _columns(trace_paths(s, tx, rx)) == _columns(table)
+
+
+@pytest.mark.parametrize("scene", [random_scene(0), random_scene(8), random_scene(12),
+                                   corner_scene()]
+                         + [touching_scene(seed) for seed in range(4)])
+def test_pruned_image_tree(monkeypatch, scene):
+    # the image tree drops facet pairs whose projection misses the first
+    # facet; the paths must be those of the unpruned tree and of trace_paths
+    fa = raytrace._facet_arrays(scene)
+    tx = scene.towers[0].position
+    rx = np.vstack([receivers(scene, tx), CORNER_RX])
+    pruned = raytrace._image_tree(fa, tx)
+    table = trace_paths(scene, tx, rx)
+    with monkeypatch.context() as m:
+        m.setattr(raytrace, "_projection_meets", lambda fa, src, f, g: np.ones(len(f), bool))
+        full = raytrace._image_tree(fa, tx)
+        assert _columns(trace_paths(scene, tx, rx)) == _columns(table)
+    pairs = set(zip(pruned.first.tolist(), pruned.last.tolist()))
+    assert pairs < set(zip(full.first.tolist(), full.last.tolist()))
+    assert 2 in table.order
+    for i, point in enumerate(rx):
+        rows = table.cell == i
+        assert [(p.order, p.aod, p.aoa, p.gain) for p in trace_paths(scene, tx, point)] == list(
+            zip(table.order[rows].tolist(), map(tuple, table.aod[rows].tolist()),
+                map(tuple, table.aoa[rows].tolist()), table.gain[rows].tolist()))
 
 
 def test_special_receivers_reach_every_order():
