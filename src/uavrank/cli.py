@@ -161,8 +161,9 @@ def cmd_interpolate(args) -> int:
     out = _out_dir(args.out)
     cfg = KrigingConfig(M=args.m, r0_m=args.r0)
     methods = METHODS if args.method == "all" else (args.method,)
+    tables = {}  # the methods' neighbor tables, built once per coverage mask
     reports = [
-        loo_evaluate(rg, meth, cfg, model, round_estimates=args.round)
+        loo_evaluate(rg, meth, cfg, model, round_estimates=args.round, tables=tables)
         for meth in methods
     ]
     lines = ["method,altitude_m,K,mae,cells"]

@@ -4,6 +4,7 @@ Pearson correlations, and the bi-exponential correlation-vs-distance fit."""
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,8 @@ from scipy.spatial.distance import cdist
 from .covermap import RankGrid, Z_RANK
 
 DEFAULT_MAX_DISTANCE_M = 500.0
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,10 @@ def fit_biexponential(distances, means):
 def fit_correlation_model(distances, means,
                           max_distance_m: float = DEFAULT_MAX_DISTANCE_M) -> CorrelationModel:
     c1, c2, c3, c4, rmse = fit_biexponential(distances, means)
+    if c2 > 0 or c4 > 0:
+        # the paper's unconstrained fit is kept; a growing term is only flagged
+        log.warning("correlation fit has a growing exponential (c2 = %g, c4 = %g): "
+                    "the model rises with distance", c2, c4)
     return CorrelationModel(c1, c2, c3, c4, rmse, max_distance_m)
 
 

@@ -34,7 +34,7 @@ class MAEReport:
 
 def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
                  model: CorrelationModel, round_estimates: bool = False,
-                 altitudes_m=None, thresholds=None) -> MAEReport:
+                 altitudes_m=None, thresholds=None, tables=None) -> MAEReport:
     """Leave-one-out MAE: every cell predicted from its neighbors with its own
     value withheld.  Out-of-coverage cells are excluded both as targets and as
     neighbors; cells with no eligible neighbors are skipped and not counted.
@@ -46,6 +46,10 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
     threshold, since its weights depend on the threshold's altitude stacks
     but not on the altitude of the layer.  Every estimate equals the per-cell
     _predict_one.
+
+    `tables` maps valid-mask bytes to the neighbor table of that mask. It is
+    filled in place, so calls that share one dict on the same grid and cfg
+    (one per method, say) build each table once.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -61,7 +65,8 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
             valid = rg.ranks[hi, ki] >= 0
             key = (valid.tobytes(), ki if method == "kriging" else None)
             groups.setdefault(key, (valid, []))[1].append((hi, ki))
-    tables = {}  # valid-mask bytes -> NeighborTable
+    if tables is None:
+        tables = {}  # valid-mask bytes -> NeighborTable
     entries = {}
     for (mask, ki), (valid, members) in groups.items():
         nt = tables.get(mask)

@@ -18,6 +18,9 @@ EPSILON_0 = 8.8541878128e-12
 # Receiver grids larger than this are rejected: a sweep holds several arrays
 # per cell, so a larger grid would exhaust memory long before it finished.
 MAX_GRID_CELLS = 10**7
+# Arrays with more elements are rejected: every path's steering vectors and
+# every channel matrix grow with the element count.
+MAX_ARRAY_ELEMENTS = 1024
 
 
 class SceneError(ValueError):
@@ -73,8 +76,9 @@ class ArrayConfig:
     axis: tuple[float, float, float] = (0.0, 1.0, 0.0)
 
     def __post_init__(self):
-        if self.elements < 1:
-            raise SceneError(f"array elements must be >= 1, got {self.elements}")
+        if not 1 <= self.elements <= MAX_ARRAY_ELEMENTS:
+            raise SceneError(f"array elements must be in [1, {MAX_ARRAY_ELEMENTS}], "
+                             f"got {self.elements}")
         if self.spacing_wavelengths <= 0:
             raise SceneError(
                 f"array spacing must be > 0, got {self.spacing_wavelengths}"
@@ -217,8 +221,10 @@ def grid_shape(s: Scene) -> tuple[int, int]:
 
 
 def _finite(v) -> bool:
-    """True for a JSON number a float holds: not NaN, inf or a huge int."""
-    return isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+    """True for a JSON number a float holds: not NaN, inf, a huge int or a
+    boolean, which Python counts as an int."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _number(obj: dict, key: str, where: str, default=None, kind=float):

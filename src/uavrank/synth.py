@@ -12,7 +12,11 @@ import numpy as np
 from .correlation import CorrelationModel
 from .covermap import RankGrid
 from .scene import Scene, grid_positions
-from scipy.spatial.distance import cdist
+
+# Larger synthetic grids are rejected: the covariance, its Cholesky factor
+# and the factorization's work copy are n x n float64 arrays each, about
+# 1.6 GB together at 8192 cells.
+MAX_FIELD_CELLS = 8192
 
 
 def synthetic_grid_positions(nx: int, ny: int, spacing_m: float) -> np.ndarray:
@@ -21,13 +25,43 @@ def synthetic_grid_positions(nx: int, ny: int, spacing_m: float) -> np.ndarray:
     return grid_positions(s)
 
 
+def _grid_axes(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys) of positions laid out row-major, as synthetic_grid_positions
+    lays them out: x runs fastest, then y steps."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) == 0:
+        raise ValueError(f"positions must be a non-empty (n, 2) array, got shape {pos.shape}")
+    nx = int(np.argmax(pos[:, 1] != pos[0, 1])) or len(pos)
+    xs, ys = pos[:nx, 0], pos[::nx, 1]
+    if not np.array_equal(pos, np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, nx)])):
+        raise ValueError("positions are not a row-major grid of an x axis and a y axis")
+    return xs, ys
+
+
 def correlated_field_factor(positions: np.ndarray, model: CorrelationModel) -> np.ndarray:
     """Cholesky factor of the model covariance over the grid positions, with
     a 1e-6 nugget on the diagonal.
 
-    Expensive for large grids; compute once and reuse across seeds.
+    The positions must be a row-major grid (synthetic_grid_positions). Two
+    cells' squared distance is then dx**2 + dy**2 with dx and dy taken from
+    the axes, so the model is evaluated once per distinct (dx**2, dy**2)
+    pair and the covariance gathered from that table; it equals
+    model(cdist(positions, positions)) bit for bit. Expensive for large
+    grids; compute once and reuse across seeds.
     """
-    cov = model(cdist(positions, positions))
+    if len(positions) > MAX_FIELD_CELLS:
+        raise ValueError(f"synthetic field of {len(positions)} cells exceeds the "
+                         f"{MAX_FIELD_CELLS}-cell limit of its dense covariance")
+    xs, ys = _grid_axes(positions)
+    nx, ny = len(xs), len(ys)
+    ux, ix = np.unique((xs[:, None] - xs[None, :]) ** 2, return_inverse=True)
+    uy, iy = np.unique((ys[:, None] - ys[None, :]) ** 2, return_inverse=True)
+    table = model(np.sqrt(ux[:, None] + uy[None, :]))  # (n_ux, n_uy)
+    # by_dy[ix1, j, ix2]: covariance of x cells ix1, ix2 at the j-th dy**2
+    by_dy = table[ix.reshape(nx, nx)].transpose(0, 2, 1)
+    # cov[iy1, ix1, iy2, ix2] = by_dy[ix1, iy[iy1, iy2], ix2]
+    cov = by_dy[np.arange(nx)[None, :, None], iy.reshape(ny, ny)[:, None, :]]
+    cov = cov.reshape(nx * ny, nx * ny)
     cov[np.diag_indices_from(cov)] = model(0.0) + 1e-6
     return np.linalg.cholesky(cov)
 

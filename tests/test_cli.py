@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from uavrank import evaluate
 from uavrank.cli import EXIT_INPUT, EXIT_OK, _write_all, main
-from uavrank.covermap import rank_grid_from_json
+from uavrank.correlation import CorrelationModel
+from uavrank.covermap import Z_RANK, RankGrid, rank_grid_from_json, rank_grid_to_json
+from uavrank.evaluate import METHODS, loo_evaluate
+from uavrank.kriging import KrigingConfig
 from uavrank.scene import Scene, Tower, serialize_scene
 
 
@@ -91,6 +95,38 @@ class TestSynthFitInterpolate:
         assert report[0] == "method,altitude_m,K,mae,cells"
         methods = {line.split(",")[0] for line in report[1:]}
         assert methods == {"kriging", "spline", "makima"}
+
+    def test_interpolate_builds_one_neighbor_table_per_mask(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        ranks = rng.integers(1, 5, size=(3, 2, 64))
+        ranks[:2, 0, 5] = Z_RANK  # two layers share a second coverage mask
+        ranks[2, 1, [9, 40]] = Z_RANK  # and one has a third
+        rg = RankGrid(np.array([[30.0 * x, 30.0 * y] for y in range(8) for x in range(8)]),
+                      (30.0, 70.0, 110.0), (10.0, 100.0), ranks, np.zeros(64, dtype=int))
+        (tmp_path / "rank_grid.json").write_text(rank_grid_to_json(rg))
+        model = CorrelationModel(0.2932, -0.0508, 0.7057, -0.001, rmse=0.0)
+        (tmp_path / "model.json").write_text(model.to_json())
+        built = []
+        real = evaluate.neighbor_table
+
+        def counting(sample_xy, valid, cfg):
+            built.append(valid.tobytes())
+            return real(sample_xy, valid, cfg)
+
+        monkeypatch.setattr(evaluate, "neighbor_table", counting)
+        argv = ["interpolate", "--rank-grid", str(tmp_path), "--model",
+                str(tmp_path / "model.json"), "--out", str(tmp_path / "o")]
+        for _ in range(2):
+            # each call builds its own tables: nothing carries over
+            built.clear()
+            assert main(argv) == EXIT_OK
+            assert len(built) == len(set(built)) == 3
+        # the report of one call per method, each with tables of its own
+        cfg = KrigingConfig(M=20, r0_m=150.0)
+        want = ["method,altitude_m,K,mae,cells"]
+        for method in METHODS:
+            want += loo_evaluate(rg, method, cfg, model).to_csv().splitlines()[1:]
+        assert (tmp_path / "o" / "mae_report.csv").read_text() == "\n".join(want) + "\n"
 
     def test_synth_deterministic(self, tmp_path):
         a = tmp_path / "a"
@@ -255,6 +291,21 @@ class TestMalformedArtifacts:
          "towers[0] field 'id' must be an integer, got 1.5"),
         ({"towers": [{"id": 1, "x": 0, "y": 0, "array": {"elements": 4.7}}]},
          "towers[0] field 'elements' must be an integer, got 4.7"),
+        # more elements than a sweep can hold
+        ({"extent_m": [60, 60], "altitudes_m": [30],
+          "towers": [{"id": 1, "x": 0, "y": 0, "array": {"elements": 1e12}}]},
+         "array elements must be in [1, 1024], got 1000000000000"),
+        ({"towers": [{"id": 1, "x": 0, "y": 0, "array": {"elements": 1025}}]},
+         "array elements must be in [1, 1024], got 1025"),
+        # JSON booleans are not numbers
+        ({"towers": [{"id": True, "x": 0, "y": 0, "array": {"elements": True}}]},
+         "towers[0] field 'id' must be a number, got True"),
+        ({"towers": [{"id": 1, "x": 0, "y": 0, "array": {"elements": True}}]},
+         "towers[0] field 'elements' must be a number, got True"),
+        ({"towers": [{"id": 1, "x": False, "y": 0}]},
+         "towers[0] field 'x' must be a number, got False"),
+        ({"extent_m": [True, 100.0], "towers": []},
+         "scene field 'extent_m' must be an array of 2 numbers, got [True, 100.0]"),
     ])
     def test_scene_field_types(self, tmp_path, capsys, doc, text):
         bad = tmp_path / "scene.json"
@@ -299,6 +350,14 @@ class TestMalformedArtifacts:
         rc = main(["calibrate", "--measured", str(tmp_path / "meas.csv"),
                    "--simulated", str(tmp_path / "sim.csv"), "--out", str(tmp_path / "o")])
         self._assert_input_error(rc, capsys, text)
+
+    def test_synth_grid_over_the_cell_limit(self, tmp_path, capsys):
+        # a 400 x 400 field's dense covariance alone would take 191 GiB
+        rc = main(["synth", "--nx", "400", "--ny", "400", "--thresholds", "100",
+                   "--out", str(tmp_path / "o")])
+        self._assert_input_error(rc, capsys, "synthetic field of 160000 cells exceeds "
+                                 "the 8192-cell limit")
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("argv, text", [
         (["synth", "--altitudes", "30,30"], "--altitudes must be > 0 and strictly increasing"),

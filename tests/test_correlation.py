@@ -1,5 +1,7 @@
 """Rank-vector construction, binned correlations, and the bi-exponential fit."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,26 @@ class TestFit:
     def test_too_few_bins(self):
         with pytest.raises(ValueError):
             fit_biexponential([0.0, 30.0, 60.0], [1.0, 0.9, 0.8])
+
+    def test_growing_fit_logs_a_warning(self, caplog):
+        # hand-made bins whose correlation grows with distance
+        d = np.arange(0.0, 481.0, 30.0)
+        phi = 0.3 + 0.002 * d
+        with caplog.at_level(logging.WARNING, logger="uavrank.correlation"):
+            model = fit_correlation_model(d, phi)
+        assert model.c2 > 0 or model.c4 > 0
+        # flagged, not changed
+        assert (model.c1, model.c2, model.c3, model.c4, model.rmse) == fit_biexponential(d, phi)
+        [record] = caplog.records
+        assert record.name == "uavrank.correlation" and record.levelno == logging.WARNING
+        assert "growing exponential" in record.getMessage()
+
+    def test_decaying_fit_logs_nothing(self, caplog):
+        d = np.arange(0.0, 481.0, 30.0)
+        with caplog.at_level(logging.DEBUG, logger="uavrank.correlation"):
+            model = fit_correlation_model(d, evaluate_model(REF_COEFFS, d))
+        assert model.c2 < 0 and model.c4 < 0
+        assert not caplog.records
 
     @given(
         c1=st.floats(min_value=0.1, max_value=0.5),

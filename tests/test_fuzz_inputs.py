@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from uavrank.covermap import Z_RANK, rank_grid_from_json
 from uavrank.evaluate import Trace
-from uavrank.scene import MAX_GRID_CELLS, SceneError, grid_shape, load_scene
+from uavrank.scene import (MAX_ARRAY_ELEMENTS, MAX_GRID_CELLS, SceneError, grid_shape,
+                           load_scene)
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -95,6 +96,8 @@ TRACES = st.builds(
 @given(st.one_of(SCENES.map(json.dumps), st.text(max_size=40)))
 @example(json.dumps({"extent_m": [1e308, 1e308], "grid_spacing_m": 1e-10,
                      "towers": [{"id": 1, "x": 0, "y": 0}]}))
+@example(json.dumps({"towers": [{"id": True, "x": 0, "y": 0, "array": {"elements": True}}]}))
+@example(json.dumps({"towers": [{"id": 1, "x": 0, "y": 0, "array": {"elements": 1e12}}]}))
 def test_load_scene_returns_or_raises_scene_error(text):
     try:
         s = load_scene(text)
@@ -103,6 +106,12 @@ def test_load_scene_returns_or_raises_scene_error(text):
     # the sweeps can build the grid of a loaded scene
     nx, ny = grid_shape(s)
     assert nx * ny <= MAX_GRID_CELLS
+    # and its arrays; a JSON boolean is not read as the number 0 or 1
+    doc = json.loads(text)
+    for t, tdoc in zip(s.towers, doc.get("towers", [])):
+        assert 1 <= t.array.elements <= MAX_ARRAY_ELEMENTS
+        assert not isinstance(tdoc.get("id"), bool)
+        assert not isinstance((tdoc.get("array") or {}).get("elements"), bool)
 
 
 @FUZZ
