@@ -7,7 +7,6 @@ ignoring 2D geometry; adjacent indices may be 30 m or a full grid row apart.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import Akima1DInterpolator, CubicSpline
 
 from .kriging import NeighborTable
 
@@ -67,6 +66,10 @@ def baseline_table(nt: NeighborTable, values, method: str) -> np.ndarray:
 def _interpolate(x, y, at: float, method: str):
     """Interpolant through (x[k], y[k]) at `at`; y may hold one column per
     interpolant."""
+    # scipy is imported on first use: the coverage and rank stages load this
+    # module but never call it
+    from scipy.interpolate import Akima1DInterpolator, CubicSpline
+
     if method == "spline":
         return CubicSpline(x, y, bc_type="natural", extrapolate=True)(at)
     if method == "makima":

@@ -8,8 +8,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.spatial.distance import cdist
 
 from .covermap import RankGrid, Z_RANK
 
@@ -60,8 +58,11 @@ class CorrelationModel:
             if key not in d:
                 raise ValueError(f"correlation model missing key {key!r}")
             try:
+                # float() would also read a boolean or a numeric string
+                if isinstance(d[key], (bool, str)):
+                    raise TypeError
                 fields[key] = float(d[key])
-            except (TypeError, ValueError):
+            except (TypeError, OverflowError):
                 raise ValueError(
                     f"correlation model key {key!r} is not a number: {d[key]!r}"
                 ) from None
@@ -105,6 +106,10 @@ def bin_correlations(vectors, positions, d_rx: float,
     nearest multiple of d_rx.  Constant vectors are skipped.  Returns
     (distances, means, counts) with empty bins omitted.
     """
+    # scipy is imported on first use: the coverage and rank stages load this
+    # module but never call it
+    from scipy.spatial.distance import cdist
+
     vectors = np.asarray(vectors, dtype=float)
     positions = np.asarray(positions, dtype=float)
     if len(vectors) != len(positions):
@@ -142,6 +147,8 @@ def fit_biexponential(distances, means):
 
     Returns (c1, c2, c3, c4, rmse).
     """
+    from scipy.optimize import least_squares
+
     d = np.asarray(distances, dtype=float)
     phi = np.asarray(means, dtype=float)
     if len(d) < 4:

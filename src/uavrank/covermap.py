@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -119,10 +120,11 @@ def joint_coverage(grids: list[CoverageGrid], s: Scene) -> CoverageGrid:
         by_tower[g.tower_id] = g
     serving = nearest_tower_ids(s, ref.positions)
     values = np.full(len(ref.values), np.nan)
-    for i, tid in enumerate(serving):
+    for tid in dict.fromkeys(serving.tolist()):  # in order of first cell served
         if tid not in by_tower:
             raise ValueError(f"missing coverage grid for tower {tid}")
-        values[i] = by_tower[tid].values[i]
+        cells = serving == tid
+        values[cells] = by_tower[tid].values[cells]
     return CoverageGrid(JOINT, ref.altitude_m, ref.mode, ref.positions, values)
 
 
@@ -171,24 +173,29 @@ def compute_rank_grid(s: Scene, thresholds=DEFAULT_THRESHOLD_RATIOS,
 def grid_to_csv(positions: np.ndarray, values: np.ndarray) -> str:
     """Value-per-cell CSV; the out-of-coverage sentinel of the array's dtype
     (NaN for floats, Z_RANK for integers) is written as "Z"."""
+    x, y = (_format_axis(c) for c in np.asarray(positions, dtype=float).T)
     values = np.asarray(values)
-    missing = np.isnan(values) if values.dtype.kind == "f" else values == Z_RANK
-    lines = ["x_m,y_m,value"]
-    for (x, y), v, z in zip(positions, values, missing):
-        if z:
-            sval = "Z"
-        elif float(v) == int(v):
-            sval = str(int(v))
-        else:
-            sval = f"{float(v):.6f}"
-        lines.append(f"{x:.3f},{y:.3f},{sval}")
-    return "\n".join(lines) + "\n"
+    if values.dtype.kind == "f":
+        # integral values without a fraction; inf and -inf as "%.6f" writes them
+        cells = ["Z" if v != v else str(int(v)) if v.is_integer() else "%.6f" % v
+                 for v in values.tolist()]
+    else:
+        cells = ["Z" if v == Z_RANK else str(v) for v in values.tolist()]
+    return "\n".join(["x_m,y_m,value", *map(",".join, zip(x, y, cells))]) + "\n"
+
+
+def _format_axis(column: np.ndarray) -> list:
+    """Every coordinate of one axis as "%.3f" writes it, formatting each
+    distinct value once; distinct by bit pattern, as -0.0 and 0.0 are
+    written differently."""
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    text = ["%.3f" % v for v in bits.view(float).tolist()]
+    return [text[k] for k in index.tolist()]
 
 
 def cdf_to_csv(points, blockage_fraction: float) -> str:
     lines = [f"# blockage_fraction,{blockage_fraction:.9f}", "value_dbm,fraction"]
-    for v, f in points:
-        lines.append(f"{v:.6f},{f:.9f}")
+    lines += ["%.6f,%.9f" % (v, f) for v, f in points]
     return "\n".join(lines) + "\n"
 
 
@@ -196,7 +203,7 @@ def rank_grid_to_json(rg: RankGrid) -> str:
     """Machine-readable rank grid artifact for pipeline chaining."""
     return json.dumps(
         {
-            "positions": [[float(x), float(y)] for x, y in rg.positions],
+            "positions": np.asarray(rg.positions, dtype=float).tolist(),
             "altitudes_m": list(rg.altitudes_m),
             "thresholds": list(rg.thresholds),
             "ranks": rg.ranks.tolist(),
@@ -210,6 +217,9 @@ def rank_grid_from_json(text: str) -> RankGrid:
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("rank grid must be a JSON object")
+    for name in ("positions", "altitudes_m", "thresholds", "ranks", "serving_tower"):
+        if name in d:
+            _reject_booleans_and_strings(name, d[name])
     try:
         # integer fields are read as floats: a fraction is rejected, not truncated
         rg = RankGrid(
@@ -248,6 +258,20 @@ def rank_grid_from_json(text: str) -> RankGrid:
     if np.any(rg.ranks < Z_RANK):
         raise ValueError(f"rank grid ranks must be >= {Z_RANK}")
     return replace(rg, ranks=rg.ranks.astype(int), serving_tower=rg.serving_tower.astype(int))
+
+
+def _reject_booleans_and_strings(name: str, value) -> None:
+    """Raise ValueError if the nested JSON arrays `value` hold a boolean or a
+    string, which float() and numpy would read as a number."""
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        for kind, what in ((bool, "a boolean"), (str, "a string")):
+            if kind in kinds:
+                raise ValueError(f"rank grid {name} must hold numbers, got {what}")
+        if list not in kinds:
+            return
+        level = list(chain.from_iterable(v for v in level if type(v) is list))
 
 
 def grid_to_pgm(g: CoverageGrid, nx: int, ny: int) -> bytes:

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .correlation import CorrelationModel
 
@@ -48,6 +46,10 @@ class KrigingSolution:
 
 def _variogram_system(sample_xy: np.ndarray, target_xy: np.ndarray,
                       model: CorrelationModel, v2: float):
+    # scipy is imported on first use: the coverage and rank stages load this
+    # module but never call it
+    from scipy.spatial.distance import cdist
+
     m = len(sample_xy)
     gam_ss = np.maximum(0.0, v2 * (1.0 - model(cdist(sample_xy, sample_xy))))
     gam_ts = np.maximum(
@@ -166,6 +168,8 @@ def neighbor_table(sample_xy, valid, cfg: KrigingConfig) -> NeighborTable:
     """select_neighbors(sample_xy[i], sample_xy, cfg, exclude=i, valid=valid)
     for every valid i, from k-nearest searches of one k-d tree over the
     valid samples."""
+    from scipy.spatial import cKDTree
+
     sample_xy = np.asarray(sample_xy, dtype=float)
     targets = np.flatnonzero(valid)
     pts = sample_xy[targets]

@@ -1,10 +1,15 @@
 """Command-line pipeline: subcommands, artifact chaining, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uavrank
 from uavrank import evaluate
 from uavrank.cli import EXIT_INPUT, EXIT_OK, _write_all, main
 from uavrank.correlation import CorrelationModel
@@ -69,6 +74,36 @@ class TestRank:
         assert rg.thresholds == (10.0, 100.0)
         assert (out / "rank_h30_K10.csv").is_file()
         assert (out / "rank_h30_K100_hist.csv").is_file()
+
+
+class TestImports:
+    def test_coverage_and_rank_load_no_scipy(self, scene_file, tmp_path):
+        """In a fresh interpreter, importing the CLI and running the coverage,
+        rank and synth stages loads no scipy module; fit then does."""
+        script = f"""
+import sys
+import uavrank.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = {str(tmp_path)!r}
+assert cli.main(["coverage", "--scene", {str(scene_file)!r}, "--out", out + "/cov",
+                 "--altitudes", "30", "--joint"]) == 0
+assert cli.main(["coverage", "--scene", {str(scene_file)!r}, "--out", out + "/cov",
+                 "--altitudes", "30", "--mode", "MIMO"]) == 0
+assert cli.main(["rank", "--scene", {str(scene_file)!r}, "--out", out + "/rank"]) == 0
+assert cli.main(["synth", "--out", out + "/synth", "--nx", "8", "--ny", "8"]) == 0
+assert scipy_modules() == [], scipy_modules()
+assert cli.main(["fit", "--rank-grid", out + "/synth", "--out", out + "/fit"]) == 0
+assert "scipy.optimize" in sys.modules and "scipy.spatial" in sys.modules
+"""
+        src = str(Path(uavrank.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 class TestSynthFitInterpolate:
@@ -222,6 +257,13 @@ class TestMalformedArtifacts:
         ("altitudes_m", [float("nan")], "altitudes_m must be finite and > 0, got (nan,)"),
         ("thresholds", [0.5], "thresholds must be finite and > 1, got (0.5,)"),
         ("positions", [[None, 0.0], [30.0, 0.0]], "positions must be finite"),
+        # JSON booleans and strings are not numbers
+        ("altitudes_m", [True, 70.0], "altitudes_m must hold numbers, got a boolean"),
+        ("thresholds", ["10"], "thresholds must hold numbers, got a string"),
+        ("ranks", [[[1, True]], [["2", 1]]], "ranks must hold numbers, got a boolean"),
+        ("ranks", [[["2", 1]]], "ranks must hold numbers, got a string"),
+        ("positions", [[0.0, False], [30.0, 0.0]], "positions must hold numbers, got a boolean"),
+        ("serving_tower", [1, "1"], "serving_tower must hold numbers, got a string"),
     ])
     def test_inconsistent_rank_grid(self, tmp_path, capsys, field, value, text):
         grid = dict(self.GRID, **{field: value})
@@ -316,6 +358,9 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("value, text", [
         ("a", "key 'c1' is not a number: 'a'"),
         (None, "key 'c1' is not a number: None"),
+        (True, "key 'c1' is not a number: True"),
+        ("-0.05", "key 'c1' is not a number: '-0.05'"),
+        pytest.param(10**400, "key 'c1' is not a number: 1000", id="int-past-a-float"),
     ])
     def test_model_non_numeric_field(self, tmp_path, capsys, value, text):
         synth_out = tmp_path / "synth"

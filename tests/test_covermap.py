@@ -108,6 +108,31 @@ class TestJointCoverage:
         for i, tid in enumerate(serving):
             assert j.values[i] == pytest.approx(by_tower[tid].values[i], abs=1e-12)
 
+    def test_equals_per_cell_copy(self):
+        # each cell holds its serving tower's value, bit for bit
+        s = Scene(extent_m=(600.0, 300.0), grid_spacing_m=50.0, altitudes_m=(30.0,),
+                  towers=(Tower(id=3, x=0.0, y=0.0), Tower(id=1, x=600.0, y=300.0),
+                          Tower(id=2, x=300.0, y=150.0)))
+        rng = np.random.default_rng(0)
+        pos = grid_positions(s)
+        grids = [CoverageGrid(t.id, 30.0, "SISO", pos,
+                              np.where(rng.random(len(pos)) < 0.2, np.nan,
+                                       rng.uniform(-120, -40, len(pos))))
+                 for t in s.towers]
+        by_tower = {g.tower_id: g for g in grids}
+        want = np.array([by_tower[tid].values[i]
+                         for i, tid in enumerate(nearest_tower_ids(s, pos))])
+        assert joint_coverage(grids, s).values.tobytes() == want.tobytes()
+
+    def test_missing_tower_grid(self):
+        s = Scene(extent_m=(300.0, 300.0), grid_spacing_m=100.0, altitudes_m=(30.0,),
+                  towers=(Tower(id=1, x=0.0, y=0.0), Tower(id=2, x=300.0, y=300.0),
+                          Tower(id=3, x=300.0, y=0.0)))
+        g = compute_coverage(s, s.towers[1], 30.0)
+        # tower 1 serves the first cell, so it is the one named
+        with pytest.raises(ValueError, match="missing coverage grid for tower 1$"):
+            joint_coverage([g], s)
+
     def test_rejects_mismatched_grids(self):
         g = compute_coverage(SMALL, SMALL.towers[0], 30.0)
         other = CoverageGrid(1, 70.0, "SISO", g.positions, g.values)

@@ -1,7 +1,8 @@
-"""Fuzzing of the three loaders of outside input: a scene document, a rank
-grid artifact and a measurement trace.  Whatever the text, a loader returns a
-valid result or raises ValueError (SceneError for scenes), which the CLI
-turns into exit code 2; any other exception would end in a traceback.
+"""Fuzzing of the four loaders of outside input: a scene document, a rank
+grid artifact, a correlation model and a measurement trace.  Whatever the
+text, a loader returns a valid result or raises ValueError (SceneError for
+scenes), which the CLI turns into exit code 2; any other exception would end
+in a traceback.
 """
 
 import json
@@ -10,6 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uavrank.correlation import CorrelationModel
 from uavrank.covermap import Z_RANK, rank_grid_from_json
 from uavrank.evaluate import Trace
 from uavrank.scene import (MAX_ARRAY_ELEMENTS, MAX_GRID_CELLS, SceneError, grid_shape,
@@ -114,13 +116,28 @@ def test_load_scene_returns_or_raises_scene_error(text):
         assert not isinstance((tdoc.get("array") or {}).get("elements"), bool)
 
 
+def _leaves(value):
+    """The scalars of nested JSON arrays."""
+    if isinstance(value, list):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
 @FUZZ
 @given(st.one_of(rank_grids().map(json.dumps), JSON.map(json.dumps), st.text(max_size=40)))
+@example(json.dumps({"positions": [[0.0, 0.0], [30.0, 0.0]], "altitudes_m": [True, 70],
+                     "thresholds": ["10"], "ranks": [[[1, True]], [["2", 1]]],
+                     "serving_tower": [1, 1]}))
 def test_rank_grid_from_json_returns_a_valid_grid_or_raises(text):
     try:
         rg = rank_grid_from_json(text)
     except ValueError:
         return
+    # a JSON boolean or a numeric string is not read as a number
+    doc = json.loads(text)
+    fields = [doc[k] for k in ("positions", "altitudes_m", "thresholds", "ranks",
+                               "serving_tower")]
+    assert not any(isinstance(v, (bool, str)) for v in _leaves(fields))
     n = len(rg.positions)
     assert rg.positions.shape == (n, 2) and np.all(np.isfinite(rg.positions))
     assert all(np.isfinite(h) and h > 0 for h in rg.altitudes_m)
@@ -128,6 +145,27 @@ def test_rank_grid_from_json_returns_a_valid_grid_or_raises(text):
     assert rg.ranks.shape == (len(rg.altitudes_m), len(rg.thresholds), n)
     assert rg.ranks.dtype.kind == "i" and np.all(rg.ranks >= Z_RANK)
     assert rg.serving_tower.shape == (n,) and rg.serving_tower.dtype.kind == "i"
+
+
+MODEL_KEYS = ("c1", "c2", "c3", "c4", "rmse", "max_distance_m")
+# the keys from_json requires are always drawn, so the fuzz reaches its value checks
+MODELS = st.fixed_dictionaries({k: NUMBERISH for k in MODEL_KEYS[:5]},
+                               optional={"max_distance_m": NUMBERISH}) | JSON
+
+
+@FUZZ
+@given(st.one_of(MODELS.map(json.dumps), st.text(max_size=40)))
+@example(json.dumps({"c1": True, "c2": "-0.05", "c3": 0.7, "c4": -0.001, "rmse": 0.0}))
+@example(json.dumps({"c1": 10**400, "c2": -0.05, "c3": 0.7, "c4": -0.001, "rmse": 0.0}))
+def test_model_from_json_returns_a_model_or_raises(text):
+    try:
+        model = CorrelationModel.from_json(text)
+    except ValueError:
+        return
+    doc = json.loads(text)
+    for key in MODEL_KEYS:
+        assert type(getattr(model, key)) is float
+        assert not isinstance(doc.get(key), (bool, str))
 
 
 @FUZZ
