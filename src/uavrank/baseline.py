@@ -35,15 +35,14 @@ def baseline_table(nt: NeighborTable, values, method: str) -> np.ndarray:
     """baseline_rank(i, neighbors of i, their values, method) for every target
     i of `nt`, NaN where it has fewer than 2 neighbors.
 
-    `values` holds one value per sample, (n,), or one row per layer, (L, n),
-    for layers that share the neighbor table; the estimates have the same
-    leading shape, (T,) or (L, T).  Targets whose sorted neighbor indices lie
-    at the same offsets from them share one interpolant over those offsets,
-    with one value column per target and layer; shifting integer indices is
-    exact, so every column evaluates to baseline_rank's estimate.
+    `values` holds one row per layer, (L, n), for layers that share the
+    neighbor table; the estimates are (L, T).  Targets whose sorted neighbor
+    indices lie at the same offsets from them share one interpolant over
+    those offsets, with one value column per target and layer; shifting
+    integer indices is exact, so every column evaluates to baseline_rank's
+    estimate.
     """
-    values = np.asarray(values, dtype=float)
-    layers = values.reshape(-1, values.shape[-1])
+    layers = np.asarray(values, dtype=float)
     est = np.full((len(layers), len(nt.targets)), np.nan)
     for m in np.unique(nt.count[nt.count >= 2]):
         rows = np.flatnonzero(nt.count == m)
@@ -60,7 +59,7 @@ def baseline_table(nt: NeighborTable, values, method: str) -> np.ndarray:
             else:
                 col_est = _interpolate(x, y, 0.0, method)
             est[:, rows[members]] = np.reshape(col_est, (len(layers), len(members)))
-    return est.reshape(values.shape[:-1] + est.shape[-1:])
+    return est
 
 
 def _interpolate(x, y, at: float, method: str):

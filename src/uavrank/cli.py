@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shutil
 import sys
@@ -43,7 +44,7 @@ from .evaluate import (
     rank_histogram,
 )
 from .kriging import KrigingConfig
-from .scene import Scene, grid_shape, load_scene
+from .scene import Scene, check_layer_axis, grid_shape, load_scene
 from .synth import synthetic_grid_positions, synthetic_rank_field
 
 EXIT_OK = 0
@@ -71,16 +72,10 @@ def _out_dir(path: str) -> Path:
 
 
 def _parse_floats(text: str, option: str) -> tuple[float, ...]:
-    """Comma-separated values of --altitudes (finite, > 0, strictly
-    increasing) or --thresholds (finite, > 1, distinct)."""
+    """Comma-separated values of --altitudes or --thresholds, which must make
+    a layer axis (scene.check_layer_axis)."""
     values = tuple(float(x) for x in text.split(","))
-    if not all(np.isfinite(values)):
-        raise InputError(f"{option} must be finite, got {text}")
-    if option == "--altitudes":
-        if values[0] <= 0 or any(b <= a for a, b in zip(values, values[1:])):
-            raise InputError(f"--altitudes must be > 0 and strictly increasing, got {text}")
-    elif min(values) <= 1 or len(set(values)) != len(values):
-        raise InputError(f"--thresholds must be > 1 and distinct, got {text}")
+    check_layer_axis(option, values, thresholds=option == "--thresholds")
     return values
 
 
@@ -133,6 +128,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if not 0 < args.max_dist < math.inf:
+        raise InputError(f"--max-dist must be finite and > 0, got {args.max_dist}")
     rg = _read_rank_grid(args.rank_grid)
     out = _out_dir(args.out)
     idx, vectors = build_rank_vectors(rg, z_policy=args.z_policy)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covermap import RankGrid, Z_RANK
+from .scene import json_numbers
 
 DEFAULT_MAX_DISTANCE_M = 500.0
 
@@ -57,15 +58,7 @@ class CorrelationModel:
         for key in ("c1", "c2", "c3", "c4", "rmse", "max_distance_m"):
             if key not in d:
                 raise ValueError(f"correlation model missing key {key!r}")
-            try:
-                # float() would also read a boolean or a numeric string
-                if isinstance(d[key], (bool, str)):
-                    raise TypeError
-                fields[key] = float(d[key])
-            except (TypeError, OverflowError):
-                raise ValueError(
-                    f"correlation model key {key!r} is not a number: {d[key]!r}"
-                ) from None
+            fields[key] = float(json_numbers(d[key], f"correlation model key {key!r}"))
         return cls(**fields)
 
 

@@ -7,14 +7,14 @@ with NaN in memory, the string "Z" in CSV exports, and byte 0 in PGM heatmaps.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import DEFAULT_THRESHOLD_RATIOS, channel_ranks, rss_dbm, synthesize_channels
 from .raytrace import trace_paths
-from .scene import ArrayConfig, Scene, Tower, grid_positions
+from .scene import (ArrayConfig, Scene, Tower, check_layer_axis, grid_positions,
+                    json_numbers)
 
 # Per-link channel functions, which the sweeps do not call; bound here because
 # bench/tracing.py wraps them by their covermap names.
@@ -217,61 +217,32 @@ def rank_grid_from_json(text: str) -> RankGrid:
     d = json.loads(text)
     if not isinstance(d, dict):
         raise ValueError("rank grid must be a JSON object")
-    for name in ("positions", "altitudes_m", "thresholds", "ranks", "serving_tower"):
-        if name in d:
-            _reject_booleans_and_strings(name, d[name])
-    try:
-        # integer fields are read as floats: a fraction is rejected, not truncated
-        rg = RankGrid(
-            positions=np.array(d["positions"], dtype=float),
-            altitudes_m=tuple(float(h) for h in d["altitudes_m"]),
-            thresholds=tuple(float(k) for k in d["thresholds"]),
-            ranks=np.array(d["ranks"], dtype=float),
-            serving_tower=np.array(d["serving_tower"], dtype=float),
-        )
-    except KeyError as e:
-        raise ValueError(f"rank grid missing key {e.args[0]!r}") from e
-    except (TypeError, OverflowError) as e:
-        raise ValueError(f"rank grid has a malformed field: {e}") from e
-    n_loc = rg.positions.shape[0] if rg.positions.ndim else 0
+    # integer fields are read as floats: a fraction is rejected, not truncated
+    a = {}
+    for name, ndim in (("positions", 2), ("altitudes_m", 1), ("thresholds", 1),
+                       ("ranks", 3), ("serving_tower", 1)):
+        if name not in d:
+            raise ValueError(f"rank grid missing key {name!r}")
+        a[name] = json_numbers(d[name], f"rank grid {name}", ndim)
+    n_h, n_k, n_loc = len(a["altitudes_m"]), len(a["thresholds"]), len(a["positions"])
     shapes = (
-        ("positions", rg.positions.shape, (n_loc, 2)),
-        ("ranks", rg.ranks.shape, (len(rg.altitudes_m), len(rg.thresholds), n_loc)),
-        ("serving_tower", rg.serving_tower.shape, (n_loc,)),
+        ("positions", (n_loc, 2)),
+        ("ranks", (n_h, n_k, n_loc)),
+        ("serving_tower", (n_loc,)),
     )
-    for name, got, want in shapes:
-        if got != want:
-            raise ValueError(f"rank grid {name} has shape {got}, expected {want}")
-    if not np.all(np.isfinite(rg.positions)):
-        raise ValueError("rank grid positions must be finite")
-    # finite and above a floor, as the CLI's --altitudes and --thresholds must be
-    for name, values, low in (("altitudes_m", rg.altitudes_m, 0.0),
-                              ("thresholds", rg.thresholds, 1.0)):
-        if not all(np.isfinite(v) and v > low for v in values):
-            raise ValueError(f"rank grid {name} must be finite and > {low:g}, got {values}")
-        if len(set(values)) != len(values):
-            raise ValueError(f"rank grid {name} has duplicate values")
+    for name, want in shapes:
+        if a[name].shape != want:
+            raise ValueError(f"rank grid {name} has shape {a[name].shape}, expected {want}")
+    altitudes, thresholds = tuple(a["altitudes_m"].tolist()), tuple(a["thresholds"].tolist())
+    check_layer_axis("rank grid altitudes_m", altitudes)
+    check_layer_axis("rank grid thresholds", thresholds, thresholds=True)
     for name in ("ranks", "serving_tower"):
-        values = getattr(rg, name)  # NaN and +-inf fail the range test
-        if not np.all((np.abs(values) < 2.0**63) & (values == np.round(values))):
+        if not np.all((np.abs(a[name]) < 2.0**63) & (a[name] == np.round(a[name]))):
             raise ValueError(f"rank grid {name} must hold 64-bit integers")
-    if np.any(rg.ranks < Z_RANK):
+    if np.any(a["ranks"] < Z_RANK):
         raise ValueError(f"rank grid ranks must be >= {Z_RANK}")
-    return replace(rg, ranks=rg.ranks.astype(int), serving_tower=rg.serving_tower.astype(int))
-
-
-def _reject_booleans_and_strings(name: str, value) -> None:
-    """Raise ValueError if the nested JSON arrays `value` hold a boolean or a
-    string, which float() and numpy would read as a number."""
-    level = [value]
-    while level:
-        kinds = set(map(type, level))
-        for kind, what in ((bool, "a boolean"), (str, "a string")):
-            if kind in kinds:
-                raise ValueError(f"rank grid {name} must hold numbers, got {what}")
-        if list not in kinds:
-            return
-        level = list(chain.from_iterable(v for v in level if type(v) is list))
+    return RankGrid(a["positions"], altitudes, thresholds, a["ranks"].astype(int),
+                    a["serving_tower"].astype(int))
 
 
 def grid_to_pgm(g: CoverageGrid, nx: int, ny: int) -> bytes:

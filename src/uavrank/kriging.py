@@ -7,6 +7,7 @@ the interpolator exact at sampled locations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class KrigingConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
-        if self.r0_m <= 0:
-            raise ValueError(f"r0 must be > 0, got {self.r0_m}")
+        if not 0 < self.r0_m < math.inf:
+            raise ValueError(f"r0 must be finite and > 0, got {self.r0_m}")
 
 
 @dataclass(frozen=True)
@@ -212,18 +213,16 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
     """krige_rank(...).estimate for every target of `nt` with the target
     excluded, NaN where it has no neighbor.
 
-    `layer_values` holds one layer, (n,), or one row per layer, (L, n), for
-    layers that share the neighbor table and the altitude stacks; the
-    estimates have the same leading shape, (T,) or (L, T).  The weights do
-    not depend on the layer, so each system is solved once and applied to
-    every layer.  The systems of targets with equally many neighbors are
+    `layer_values` holds one row per layer, (L, n), for layers that share the
+    neighbor table and the altitude stacks; the estimates are (L, T).  The
+    weights do not depend on the layer, so each system is solved once and
+    applied to every layer.  The systems of targets with equally many neighbors are
     solved together, with every arithmetic step in krige_rank's order so the
     estimates are equal to its, fallbacks included.
     """
     stacks = _altitude_stacks(altitude_stacks)
     sample_xy = np.asarray(sample_xy, dtype=float)
-    values = np.asarray(layer_values, dtype=float)
-    layers = values.reshape(-1, values.shape[-1])
+    layers = np.asarray(layer_values, dtype=float)
     # row by row, as krige_rank takes the variance of its neighbor rows
     var = np.var(np.ascontiguousarray(stacks), axis=1, ddof=1)
     est = np.full((len(layers), len(nt.targets)), np.nan)
@@ -245,7 +244,7 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
             r, nb, w = r[ok], nb[ok], w[ok, None, :]
             for e, layer in zip(est, layers):
                 e[r] = np.matmul(w, layer[nb][:, :, None])[:, 0, 0]
-    return est.reshape(values.shape[:-1] + est.shape[-1:])
+    return est
 
 
 def _solve_block(xy, d_ts, model: CorrelationModel, v2) -> np.ndarray:

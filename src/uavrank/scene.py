@@ -8,8 +8,10 @@ safe to share across workers.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -169,21 +171,20 @@ class Scene:
     towers: tuple[Tower, ...] = ()
 
     def __post_init__(self):
-        if self.frequency_hz <= 0:
+        # written as `not x > 0` so that NaN is rejected too
+        if not self.frequency_hz > 0:
             raise SceneError(f"frequency must be > 0, got {self.frequency_hz}")
-        if self.grid_spacing_m <= 0:
-            raise SceneError(f"grid spacing must be > 0, got {self.grid_spacing_m}")
+        if not 0 < self.grid_spacing_m < math.inf:
+            raise SceneError(f"grid spacing must be finite and > 0, got {self.grid_spacing_m}")
         w, h = self.extent_m
-        if w <= 0 or h <= 0:
+        if not (w > 0 and h > 0):
             raise SceneError(f"extent must be positive, got {self.extent_m}")
         d = self.grid_spacing_m
         # w / d may overflow to inf, which grid_shape cannot round: test it first
         if not max(w / d, h / d) <= MAX_GRID_CELLS or np.prod(grid_shape(self)) > MAX_GRID_CELLS:
             raise SceneError(f"extent {w:g} x {h:g} m at grid spacing {d:g} m gives more "
                              f"than {MAX_GRID_CELLS} grid cells")
-        alts = tuple(float(a) for a in self.altitudes_m)
-        if any(b <= a for a, b in zip(alts, alts[1:])):
-            raise SceneError("altitudes must be strictly increasing")
+        check_layer_axis("scene altitudes_m", self.altitudes_m)
         ids = [t.id for t in self.towers]
         if len(set(ids)) != len(ids):
             raise SceneError(f"tower ids must be unique, got {ids}")
@@ -220,37 +221,75 @@ def grid_shape(s: Scene) -> tuple[int, int]:
     return int(round(w / d)), int(round(h / d))
 
 
-def _finite(v) -> bool:
-    """True for a JSON number a float holds: not NaN, inf, a huge int or a
-    boolean, which Python counts as an int."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
+def json_numbers(value, what: str, ndim: int = 0):
+    """The one test of a number read from outside: `value` itself if ndim is 0
+    and it is a JSON number that a float holds (an int stays an int), or an
+    ndim-d JSON array of such numbers as a float ndarray; SceneError naming
+    `what` and the fault otherwise.  Booleans (ints to Python), strings,
+    null, objects, NaN, +-Infinity and ints past a float's range are not
+    numbers."""
+    if ndim == 0:
+        # plain Python: a scene holds hundreds of scalars, and numpy costs more
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return value
+        raise SceneError(f"{what} must be a number, got {value!r}")
+    level = [value]
+    while (kinds := set(map(type, level))) == {list}:
+        level = list(chain.from_iterable(level))
+    try:
+        array = np.array(value, dtype=float) if kinds <= {int, float} else None
+    except (OverflowError, ValueError):  # an int past a float's range, or ragged rows
+        array = None
+    if array is not None and np.isfinite(array).all() and array.ndim == ndim:
+        return array
+    bad = next((repr(v) for v in level
+                if not (type(v) in (int, float) and abs(v) <= sys.float_info.max)),
+               "rows of unequal length" if array is None else f"shape {array.shape}")
+    raise SceneError(f"{what} must hold numbers in a {ndim}-d array, got {bad}")
+
+
+def check_layer_axis(what: str, values, thresholds: bool = False) -> None:
+    """Raise SceneError unless `values` make a layer axis: one value or more,
+    all finite; altitudes > 0 and strictly increasing, thresholds > 1 and
+    distinct.  Values compare as floats, as a rank grid artifact reads them
+    back."""
+    v = [float(x) for x in values]
+    if not v or not all(map(math.isfinite, v)):
+        raise SceneError(f"{what} must be finite and non-empty, got {tuple(values)}")
+    if thresholds:
+        rule = "> 1 and distinct"
+        ok = min(v) > 1 and len(set(v)) == len(v)
+    else:
+        rule = "> 0 and strictly increasing"
+        ok = v[0] > 0 and all(a < b for a, b in zip(v, v[1:]))
+    if not ok:
+        raise SceneError(f"{what} must be {rule}, got {tuple(values)}")
 
 
 def _number(obj: dict, key: str, where: str, default=None, kind=float):
-    """obj[key], a finite JSON number, converted by `kind`; `default` when the
-    key is absent, or a missing-field error without one."""
+    """obj[key], a JSON number, converted by `kind`; `default` when the key
+    is absent, or a missing-field error without one."""
     if key not in obj:
         if default is None:
             raise SceneError(f"{where} missing field {key!r}")
         return default
-    if not _finite(obj[key]):
-        raise SceneError(f"{where} field {key!r} must be a number, got {obj[key]!r}")
-    if kind is int and obj[key] != int(obj[key]):
+    value = json_numbers(obj[key], f"{where} field {key!r}")
+    if kind is int and value != int(value):
         # rejected, not truncated
-        raise SceneError(f"{where} field {key!r} must be an integer, got {obj[key]!r}")
-    return kind(obj[key])
+        raise SceneError(f"{where} field {key!r} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def _numbers(obj: dict, key: str, where: str, default: tuple, length=None) -> tuple:
-    """obj[key] as a tuple of finite JSON numbers, `default` if it is absent."""
-    value = obj.get(key, default)
-    if (not isinstance(value, (list, tuple))
-            or not all(_finite(v) for v in value)
-            or (length is not None and len(value) != length)):
+    """obj[key], a JSON array of numbers, as a tuple of the values as given
+    (an int stays an int, as artifacts copy them); `default` if it is absent."""
+    if key not in obj:
+        return default
+    value, what = obj[key], f"{where} field {key!r}"
+    if not isinstance(value, list) or (length is not None and len(value) != length):
         size = f"{length} " if length is not None else ""
-        raise SceneError(f"{where} field {key!r} must be an array of {size}numbers, "
-                         f"got {value!r}")
+        raise SceneError(f"{what} must be an array of {size}numbers, got {value!r}")
+    json_numbers(value, what, ndim=1)
     return tuple(value)
 
 

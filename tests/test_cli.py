@@ -1,5 +1,6 @@
 """Command-line pipeline: subcommands, artifact chaining, and exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import uavrank
 from uavrank import evaluate
-from uavrank.cli import EXIT_INPUT, EXIT_OK, _write_all, main
+from uavrank.cli import EXIT_INPUT, EXIT_OK, _write_all, build_parser, main
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import Z_RANK, RankGrid, rank_grid_from_json, rank_grid_to_json
 from uavrank.evaluate import METHODS, loo_evaluate
@@ -227,6 +228,25 @@ class TestCalibrate:
         assert rc == EXIT_INPUT
 
 
+def _float_options():
+    """(command, option) of every float option the parser declares."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0]) for name, parser in sub.choices.items()
+            for action in parser._actions if action.type is float]
+
+
+_FLOAT_OPTIONS = _float_options()
+
+
+@pytest.fixture(scope="module")
+def small_grid(tmp_path_factory):
+    """A 4 x 4 synthetic rank grid with its fitted model."""
+    grid = tmp_path_factory.mktemp("small_grid")
+    assert main(["synth", "--out", str(grid), "--nx", "4", "--ny", "4"]) == EXIT_OK
+    assert main(["fit", "--rank-grid", str(grid), "--out", str(grid)]) == EXIT_OK
+    return grid
+
+
 class TestMalformedArtifacts:
     """Malformed inputs end in exit 2 with a one-line message."""
 
@@ -248,22 +268,25 @@ class TestMalformedArtifacts:
         ("positions", [[0.0, 0.0, 0.0], [30.0, 0.0, 0.0]], "positions has shape"),
         ("serving_tower", [1], "serving_tower has shape"),
         ("ranks", [[[1, -2]]], "ranks must be >= -1"),
-        ("altitudes_m", [[30.0]], "malformed field"),
-        ("ranks", [[[float("inf"), 2]]], "ranks must hold 64-bit integers"),
+        ("altitudes_m", [[30.0]],
+         "altitudes_m must hold numbers in a 1-d array, got shape (1, 1)"),
+        ("ranks", [[[float("inf"), 2]]], "ranks must hold numbers in a 3-d array, got inf"),
         ("ranks", [[[1.5, 2]]], "ranks must hold 64-bit integers"),
-        ("ranks", [[[10**400, 2]]], "malformed field: int too large"),
+        ("ranks", [[[10**400, 2]]], "ranks must hold numbers in a 3-d array, got 1000"),
         ("serving_tower", [1.7, 1], "serving_tower must hold 64-bit integers"),
         ("serving_tower", [2**63, 1], "serving_tower must hold 64-bit integers"),
-        ("altitudes_m", [float("nan")], "altitudes_m must be finite and > 0, got (nan,)"),
-        ("thresholds", [0.5], "thresholds must be finite and > 1, got (0.5,)"),
-        ("positions", [[None, 0.0], [30.0, 0.0]], "positions must be finite"),
+        ("altitudes_m", [float("nan")], "altitudes_m must hold numbers in a 1-d array, got nan"),
+        ("thresholds", [0.5], "thresholds must be > 1 and distinct, got (0.5,)"),
+        ("positions", [[None, 0.0], [30.0, 0.0]],
+         "positions must hold numbers in a 2-d array, got None"),
         # JSON booleans and strings are not numbers
-        ("altitudes_m", [True, 70.0], "altitudes_m must hold numbers, got a boolean"),
-        ("thresholds", ["10"], "thresholds must hold numbers, got a string"),
-        ("ranks", [[[1, True]], [["2", 1]]], "ranks must hold numbers, got a boolean"),
-        ("ranks", [[["2", 1]]], "ranks must hold numbers, got a string"),
-        ("positions", [[0.0, False], [30.0, 0.0]], "positions must hold numbers, got a boolean"),
-        ("serving_tower", [1, "1"], "serving_tower must hold numbers, got a string"),
+        ("altitudes_m", [True, 70.0], "altitudes_m must hold numbers in a 1-d array, got True"),
+        ("thresholds", ["10"], "thresholds must hold numbers in a 1-d array, got '10'"),
+        ("ranks", [[[1, True]], [["2", 1]]], "ranks must hold numbers in a 3-d array, got True"),
+        ("ranks", [[["2", 1]]], "ranks must hold numbers in a 3-d array, got '2'"),
+        ("positions", [[0.0, False], [30.0, 0.0]],
+         "positions must hold numbers in a 2-d array, got False"),
+        ("serving_tower", [1, "1"], "serving_tower must hold numbers in a 1-d array, got '1'"),
     ])
     def test_inconsistent_rank_grid(self, tmp_path, capsys, field, value, text):
         grid = dict(self.GRID, **{field: value})
@@ -274,12 +297,16 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize("field, value, ranks", [
         ("altitudes_m", [30.0, 30.0], [[[1, 2]], [[1, 2]]]),
         ("thresholds", [10.0, 10.0], [[[1, 2], [1, 2]]]),
+        # altitudes out of order, which no stage writes
+        ("altitudes_m", [70.0, 30.0], [[[1, 2]], [[1, 2]]]),
     ])
     def test_duplicate_layers(self, tmp_path, capsys, field, value, ranks):
         grid = dict(self.GRID, ranks=ranks, **{field: value})
         (tmp_path / "rank_grid.json").write_text(json.dumps(grid))
         rc = main(["fit", "--rank-grid", str(tmp_path), "--out", str(tmp_path / "fit")])
-        self._assert_input_error(rc, capsys, f"{field} has duplicate values")
+        rule = {"altitudes_m": "> 0 and strictly increasing",
+                "thresholds": "> 1 and distinct"}[field]
+        self._assert_input_error(rc, capsys, f"{field} must be {rule}, got {tuple(value)}")
 
     def test_kriging_needs_two_altitudes(self, tmp_path, capsys):
         grid = tmp_path / "grid"
@@ -321,7 +348,7 @@ class TestMalformedArtifacts:
         ({"trees": [{"x": float("nan"), "y": 0}], "towers": []},
          "trees[0] field 'x' must be a number, got nan"),
         ({"extent_m": [float("inf"), 100.0], "towers": []},
-         "scene field 'extent_m' must be an array of 2 numbers, got [inf, 100.0]"),
+         "scene field 'extent_m' must hold numbers in a 1-d array, got inf"),
         # extent / spacing overflows a float
         ({"extent_m": [1e308, 1e308], "grid_spacing_m": 1e-10,
           "towers": [{"id": 1, "x": 0, "y": 0}]},
@@ -347,7 +374,7 @@ class TestMalformedArtifacts:
         ({"towers": [{"id": 1, "x": False, "y": 0}]},
          "towers[0] field 'x' must be a number, got False"),
         ({"extent_m": [True, 100.0], "towers": []},
-         "scene field 'extent_m' must be an array of 2 numbers, got [True, 100.0]"),
+         "scene field 'extent_m' must hold numbers in a 1-d array, got True"),
     ])
     def test_scene_field_types(self, tmp_path, capsys, doc, text):
         bad = tmp_path / "scene.json"
@@ -356,11 +383,15 @@ class TestMalformedArtifacts:
         self._assert_input_error(rc, capsys, text)
 
     @pytest.mark.parametrize("value, text", [
-        ("a", "key 'c1' is not a number: 'a'"),
-        (None, "key 'c1' is not a number: None"),
-        (True, "key 'c1' is not a number: True"),
-        ("-0.05", "key 'c1' is not a number: '-0.05'"),
-        pytest.param(10**400, "key 'c1' is not a number: 1000", id="int-past-a-float"),
+        ("a", "model key 'c1' must be a number, got 'a'"),
+        (None, "model key 'c1' must be a number, got None"),
+        (True, "model key 'c1' must be a number, got True"),
+        ("-0.05", "model key 'c1' must be a number, got '-0.05'"),
+        pytest.param(10**400, "model key 'c1' must be a number, got 1000", id="int-past-a-float"),
+        # json.dumps writes these as the NaN, Infinity and -Infinity tokens
+        (float("nan"), "model key 'c1' must be a number, got nan"),
+        (float("inf"), "model key 'c1' must be a number, got inf"),
+        (float("-inf"), "model key 'c1' must be a number, got -inf"),
     ])
     def test_model_non_numeric_field(self, tmp_path, capsys, value, text):
         synth_out = tmp_path / "synth"
@@ -396,6 +427,20 @@ class TestMalformedArtifacts:
                    "--simulated", str(tmp_path / "sim.csv"), "--out", str(tmp_path / "o")])
         self._assert_input_error(rc, capsys, text)
 
+    @pytest.mark.parametrize("altitudes, text", [
+        ([-10, 30], "scene altitudes_m must be > 0 and strictly increasing, got (-10, 30)"),
+        ([], "scene altitudes_m must be finite and non-empty, got ()"),
+    ])
+    def test_scene_altitudes_a_rank_grid_cannot_hold(self, tmp_path, capsys, altitudes, text):
+        # `fit` would reject the rank_grid.json that `rank` wrote from them
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps({"extent_m": [60, 60], "altitudes_m": altitudes,
+                                   "towers": [{"id": 1, "x": 0, "y": 0}]}))
+        out = tmp_path / "o"
+        rc = main(["rank", "--scene", str(bad), "--out", str(out)])
+        self._assert_input_error(rc, capsys, text)
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_synth_grid_over_the_cell_limit(self, tmp_path, capsys):
         # a 400 x 400 field's dense covariance alone would take 191 GiB
         rc = main(["synth", "--nx", "400", "--ny", "400", "--thresholds", "100",
@@ -420,6 +465,21 @@ class TestMalformedArtifacts:
         extra = ["--nx", "4", "--ny", "4"] if argv[0] == "synth" else ["--scene", str(scene_file)]
         rc = main(argv + extra + ["--out", str(out)])
         self._assert_input_error(rc, capsys, text)
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command, option", _FLOAT_OPTIONS)
+    def test_float_options_must_be_finite_and_positive(self, small_grid, tmp_path, capsys,
+                                                       command, option, value):
+        inputs = {
+            "fit": ["--rank-grid", str(small_grid)],
+            "interpolate": ["--rank-grid", str(small_grid),
+                            "--model", str(small_grid / "correlation_model.json")],
+            "synth": ["--nx", "4", "--ny", "4"],
+        }
+        out = tmp_path / "o"
+        rc = main([command, *inputs[command], f"{option}={value}", "--out", str(out)])
+        self._assert_input_error(rc, capsys, f"must be finite and > 0, got {float(value)}")
         assert not out.exists() or list(out.iterdir()) == []
 
 

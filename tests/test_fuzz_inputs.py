@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavrank.correlation import CorrelationModel
-from uavrank.covermap import Z_RANK, rank_grid_from_json
+from uavrank.covermap import Z_RANK, RankGrid, rank_grid_from_json, rank_grid_to_json
 from uavrank.evaluate import Trace
 from uavrank.scene import (MAX_ARRAY_ELEMENTS, MAX_GRID_CELLS, SceneError, grid_shape,
                            load_scene)
@@ -116,6 +116,25 @@ def test_load_scene_returns_or_raises_scene_error(text):
         assert not isinstance((tdoc.get("array") or {}).get("elements"), bool)
 
 
+@FUZZ
+@given(st.lists(NUMBERS, max_size=4).map(sorted) | st.lists(NUMBERISH, max_size=4))
+@example([-10, 30])
+@example([])
+@example([30, 2**53, 2**53 + 1])  # distinct as ints, equal as floats
+def test_scene_altitudes_survive_a_rank_grid_round_trip(altitudes):
+    # `rank` copies the scene's altitudes into rank_grid.json, which `fit`
+    # and `interpolate` read back: what one loader accepts, the other must
+    try:
+        s = load_scene(json.dumps({"altitudes_m": altitudes}))
+    except SceneError:
+        return
+    n_h = len(s.altitudes_m)
+    rg = RankGrid(np.zeros((1, 2)), s.altitudes_m, (10.0,), np.zeros((n_h, 1, 1), dtype=int),
+                  np.ones(1, dtype=int))
+    back = rank_grid_from_json(rank_grid_to_json(rg))
+    assert back.altitudes_m == tuple(float(h) for h in altitudes)
+
+
 def _leaves(value):
     """The scalars of nested JSON arrays."""
     if isinstance(value, list):
@@ -157,6 +176,7 @@ MODELS = st.fixed_dictionaries({k: NUMBERISH for k in MODEL_KEYS[:5]},
 @given(st.one_of(MODELS.map(json.dumps), st.text(max_size=40)))
 @example(json.dumps({"c1": True, "c2": "-0.05", "c3": 0.7, "c4": -0.001, "rmse": 0.0}))
 @example(json.dumps({"c1": 10**400, "c2": -0.05, "c3": 0.7, "c4": -0.001, "rmse": 0.0}))
+@example('{"c1": NaN, "c2": -0.05, "c3": 0.7, "c4": -0.001, "rmse": 0.0}')
 def test_model_from_json_returns_a_model_or_raises(text):
     try:
         model = CorrelationModel.from_json(text)
@@ -164,7 +184,7 @@ def test_model_from_json_returns_a_model_or_raises(text):
         return
     doc = json.loads(text)
     for key in MODEL_KEYS:
-        assert type(getattr(model, key)) is float
+        assert type(getattr(model, key)) is float and np.isfinite(getattr(model, key))
         assert not isinstance(doc.get(key), (bool, str))
 
 

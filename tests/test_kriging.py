@@ -46,8 +46,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             KrigingConfig(M=0)
-        with pytest.raises(ValueError):
-            KrigingConfig(r0_m=0.0)
+        for r0 in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="r0 must be finite and > 0"):
+                KrigingConfig(r0_m=r0)
 
 
 class TestSemivariogram:

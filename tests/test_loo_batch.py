@@ -95,9 +95,9 @@ def _assert_batch_equals_oracle(rg, cfg, model=MODEL, methods=METHODS):
         nt = neighbor_table(rg.positions, layer >= 0, cfg)
         for method in methods:
             if method == "kriging":
-                est = krige_table(nt, rg.positions, layer, rg.ranks[:, ki, :].T, model)
+                est = krige_table(nt, rg.positions, layer[None], rg.ranks[:, ki, :].T, model)[0]
             else:
-                est = baseline_table(nt, layer, method)
+                est = baseline_table(nt, layer[None], method)[0]
             ref = oracle[hi, ki, method] = _oracle(rg, ki, layer, method, cfg, model)
             np.testing.assert_array_equal(est, ref)
     for method in methods:
@@ -229,7 +229,7 @@ class TestBatchEqualsOracle:
         for method in ("spline", "makima"):
             ref = [baseline_rank(float(i), row[:c], values[row[:c]], method)
                    for i, row, c in zip(nt.targets, nt.index, nt.count)]
-            np.testing.assert_array_equal(baseline_table(nt, values, method), ref)
+            np.testing.assert_array_equal(baseline_table(nt, values[None], method)[0], ref)
 
 
 class TestStackedLayers:
@@ -244,7 +244,7 @@ class TestStackedLayers:
             stacked = baseline_table(nt, layers, method)
             assert stacked.shape == (6, 63)
             for layer, row in zip(layers, stacked):
-                np.testing.assert_array_equal(row, baseline_table(nt, layer, method))
+                np.testing.assert_array_equal(row, baseline_table(nt, layer[None], method)[0])
 
     def test_makima_columns_dependent_only_once_stacked(self, monkeypatch):
         # integer layers near 0 and near 1e7: each passes _columns_independent
@@ -265,7 +265,7 @@ class TestStackedLayers:
         assert calls and not any(calls)
         calls.clear()
         for layer, row in zip(layers, stacked):
-            single = baseline_table(nt, layer, "makima")
+            single = baseline_table(nt, layer[None], "makima")[0]
             np.testing.assert_array_equal(row, single)
             ref = [baseline_rank(float(i), nb[:c], layer[nb[:c]], "makima")
                    for i, nb, c in zip(nt.targets, nt.index, nt.count)]
@@ -285,8 +285,8 @@ class TestStackedLayers:
             stacked = krige_table(nt, rg.positions, layers, stacks, model)
             assert stacked.shape == (4, 48)
             for layer, row in zip(layers, stacked):
-                np.testing.assert_array_equal(row, krige_table(nt, rg.positions, layer,
-                                                               stacks, model))
+                np.testing.assert_array_equal(row, krige_table(nt, rg.positions, layer[None],
+                                                               stacks, model)[0])
                 np.testing.assert_array_equal(row, _oracle(rg, ki, layer, "kriging", cfg, model))
 
     @pytest.mark.parametrize("method", METHODS)

@@ -124,6 +124,13 @@ class TestScene:
     def test_wavelength(self):
         assert Scene().wavelength_m == pytest.approx(0.08817425235294117, rel=1e-12)
 
+    def test_nan_sizes(self):
+        nan = float("nan")
+        for kwargs in ({"frequency_hz": nan}, {"grid_spacing_m": nan},
+                       {"extent_m": (nan, 100.0)}, {"altitudes_m": (30.0, nan)}):
+            with pytest.raises(SceneError):
+                Scene(**kwargs)
+
     def test_altitudes_strictly_increasing(self):
         with pytest.raises(SceneError):
             Scene(altitudes_m=(30.0, 30.0))
