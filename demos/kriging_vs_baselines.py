@@ -12,11 +12,7 @@ import sys
 import numpy as np
 
 from uavrank import CorrelationModel, KrigingConfig, loo_evaluate
-from uavrank.synth import (
-    correlated_field_factor,
-    synthetic_grid_positions,
-    synthetic_rank_field,
-)
+from uavrank.synth import synthetic_grid_positions, synthetic_rank_field
 
 n_seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 5
 
@@ -25,15 +21,11 @@ positions = synthetic_grid_positions(20, 20, 30.0)
 altitudes = (30.0, 50.0, 70.0, 90.0, 110.0)
 cfg = KrigingConfig(M=20, r0_m=150.0)
 
-# the Cholesky factor of the field covariance is seed-independent: build once
-chol = correlated_field_factor(positions, model)
-
 print(f"{len(positions)} cells, {len(altitudes)} altitudes, {n_seeds} seeds")
 print(f"{'seed':>4}  {'kriging':>8}  {'spline':>8}  {'makima':>8}")
 totals = {m: [] for m in ("kriging", "spline", "makima")}
 for seed in range(n_seeds):
-    rg = synthetic_rank_field(positions, model, altitudes, (100.0,), seed=seed,
-                              chol=chol)
+    rg = synthetic_rank_field(positions, model, altitudes, (100.0,), seed=seed)
     row = []
     for method in totals:
         rep = loo_evaluate(rg, method, cfg, model,

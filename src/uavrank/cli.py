@@ -45,7 +45,7 @@ from .evaluate import (
 )
 from .kriging import KrigingConfig
 from .scene import Scene, check_layer_axis, grid_shape, load_scene
-from .synth import synthetic_grid_positions, synthetic_rank_field
+from .synth import check_field_cells, synthetic_grid_positions, synthetic_rank_field
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -155,8 +155,8 @@ def cmd_interpolate(args) -> int:
     if not model_path.is_file():
         raise InputError(f"model file not found: {args.model}")
     model = CorrelationModel.from_json(model_path.read_text())
-    out = _out_dir(args.out)
     cfg = KrigingConfig(M=args.m, r0_m=args.r0)
+    out = _out_dir(args.out)
     methods = METHODS if args.method == "all" else (args.method,)
     tables = {}  # the methods' neighbor tables, built once per coverage mask
     reports = [
@@ -189,8 +189,9 @@ def cmd_synth(args) -> int:
     altitudes = (_parse_floats(args.altitudes, "--altitudes") if args.altitudes
                  else tuple(np.arange(30.0, 111.0, 10.0)))
     model = CorrelationModel(c1=0.2932, c2=-0.0508, c3=0.7057, c4=-0.001, rmse=0.0)
-    out = _out_dir(args.out)
     positions = synthetic_grid_positions(args.nx, args.ny, args.spacing)
+    check_field_cells(len(positions))
+    out = _out_dir(args.out)
     rg = synthetic_rank_field(positions, model, altitudes, thresholds, seed=args.seed)
     _write_all(out, {"rank_grid.json": rank_grid_to_json(rg)})
     return EXIT_OK

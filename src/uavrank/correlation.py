@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covermap import RankGrid, Z_RANK
-from .scene import json_numbers
+from .scene import json_numbers, parse_json
 
 DEFAULT_MAX_DISTANCE_M = 500.0
 
@@ -50,7 +50,7 @@ class CorrelationModel:
 
     @classmethod
     def from_json(cls, text: str) -> "CorrelationModel":
-        d = json.loads(text)
+        d = parse_json(text, "correlation model")
         if not isinstance(d, dict):
             raise ValueError("correlation model must be a JSON object")
         d = {"max_distance_m": DEFAULT_MAX_DISTANCE_M, **d}

@@ -14,7 +14,7 @@ import numpy as np
 from .channel import DEFAULT_THRESHOLD_RATIOS, channel_ranks, rss_dbm, synthesize_channels
 from .raytrace import trace_paths
 from .scene import (ArrayConfig, Scene, Tower, check_layer_axis, grid_positions,
-                    json_numbers)
+                    json_numbers, parse_json)
 
 # Per-link channel functions, which the sweeps do not call; bound here because
 # bench/tracing.py wraps them by their covermap names.
@@ -214,7 +214,7 @@ def rank_grid_to_json(rg: RankGrid) -> str:
 
 
 def rank_grid_from_json(text: str) -> RankGrid:
-    d = json.loads(text)
+    d = parse_json(text, "rank grid")
     if not isinstance(d, dict):
         raise ValueError("rank grid must be a JSON object")
     # integer fields are read as floats: a fraction is rejected, not truncated

@@ -44,9 +44,10 @@ class Material:
     d: float
 
     def __post_init__(self):
-        if self.a <= 0:
+        # written as `not x > 0` so that NaN is rejected too, as in Scene
+        if not self.a > 0:
             raise SceneError(f"material {self.name!r}: a must be > 0, got {self.a}")
-        if self.d < 0:
+        if not self.d >= 0:
             raise SceneError(f"material {self.name!r}: d must be >= 0, got {self.d}")
 
 
@@ -60,7 +61,7 @@ BUILTIN_MATERIALS = {
 
 def permittivity(m: Material, f_hz: float) -> complex:
     """Complex relative permittivity eps' - j*eps'' at frequency f_hz."""
-    if f_hz <= 0:
+    if not f_hz > 0:
         raise ValueError(f"frequency must be > 0, got {f_hz}")
     f_ghz = f_hz / 1e9
     eps_real = m.a * f_ghz**m.b
@@ -81,13 +82,13 @@ class ArrayConfig:
         if not 1 <= self.elements <= MAX_ARRAY_ELEMENTS:
             raise SceneError(f"array elements must be in [1, {MAX_ARRAY_ELEMENTS}], "
                              f"got {self.elements}")
-        if self.spacing_wavelengths <= 0:
+        if not self.spacing_wavelengths > 0:
             raise SceneError(
                 f"array spacing must be > 0, got {self.spacing_wavelengths}"
             )
         norm = float(np.linalg.norm(self.axis))
-        if norm == 0:
-            raise SceneError("array axis must be a nonzero vector")
+        if not 0 < norm < math.inf:
+            raise SceneError("array axis must be a finite nonzero vector")
         object.__setattr__(
             self, "axis", tuple(float(x) / norm for x in self.axis)
         )
@@ -105,11 +106,11 @@ class Building:
     material: Material
 
     def __post_init__(self):
-        if self.w <= 0 or self.h <= 0:
+        if not (self.w > 0 and self.h > 0):
             raise SceneError(
                 f"building footprint must have positive area, got {self.w}x{self.h}"
             )
-        if self.height <= 0:
+        if not self.height > 0:
             raise SceneError(f"building height must be > 0, got {self.height}")
 
 
@@ -136,7 +137,7 @@ class Tree:
             "canopy_height",
             "canopy_base_radius",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise SceneError(f"tree {name} must be > 0")
 
 
@@ -149,7 +150,7 @@ class Tower:
     array: ArrayConfig = field(default_factory=ArrayConfig)
 
     def __post_init__(self):
-        if self.height <= 0:
+        if not self.height > 0:
             raise SceneError(f"tower {self.id}: height must be > 0")
 
     @property
@@ -323,12 +324,21 @@ def _objects(doc: dict, key: str) -> list[dict]:
     return items
 
 
+def parse_json(text: str, what: str):
+    """json.loads(text) for a document from outside, with malformed JSON and
+    JSON nested deeper than the parser can recurse raised as SceneError
+    naming `what`."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SceneError(f"{what} parse error at line {e.lineno}: {e.msg}") from e
+    except RecursionError:
+        raise SceneError(f"{what} is nested too deeply to parse") from None
+
+
 def load_scene(text: str) -> Scene:
     """Parse and validate a JSON scene document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SceneError(f"scene parse error at line {e.lineno}: {e.msg}") from e
+    doc = parse_json(text, "scene")
     if not isinstance(doc, dict):
         raise SceneError("scene document must be a JSON object")
 

@@ -30,11 +30,7 @@ from uavrank.scene import (
     permittivity,
     serialize_scene,
 )
-from uavrank.synth import (
-    correlated_field_factor,
-    synthetic_grid_positions,
-    synthetic_rank_field,
-)
+from uavrank.synth import synthetic_grid_positions, synthetic_rank_field
 
 REF_COEFFS = (0.2932, -0.0508, 0.7057, -0.001)
 MODEL = CorrelationModel(*REF_COEFFS, rmse=0.0)
@@ -151,13 +147,11 @@ def test_06_kriging_beats_baselines_on_synthetic_fields():
     with criterion("criterion 6: Kriging LOO MAE vs spline/makima on 20 seeds"):
         t0 = time.perf_counter()
         positions = synthetic_grid_positions(36, 71, 30.0)
-        chol = correlated_field_factor(positions, MODEL)
         altitudes = tuple(np.arange(30.0, 111.0, 10.0))
         cfg = KrigingConfig(M=20, r0_m=150.0)
         results = {m: [] for m in ("kriging", "spline", "makima")}
         for seed in range(20):
-            rg = synthetic_rank_field(positions, MODEL, altitudes, (100.0,),
-                                      seed=seed, chol=chol)
+            rg = synthetic_rank_field(positions, MODEL, altitudes, (100.0,), seed=seed)
             for method in results:
                 rep = loo_evaluate(rg, method, cfg, MODEL,
                                    altitudes_m=(70.0,), thresholds=(100.0,))

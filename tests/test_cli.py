@@ -442,12 +442,26 @@ class TestMalformedArtifacts:
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_synth_grid_over_the_cell_limit(self, tmp_path, capsys):
-        # a 400 x 400 field's dense covariance alone would take 191 GiB
+        # fit would build dense 191 GiB matrices on a 400 x 400 field
         rc = main(["synth", "--nx", "400", "--ny", "400", "--thresholds", "100",
                    "--out", str(tmp_path / "o")])
         self._assert_input_error(rc, capsys, "synthetic field of 160000 cells exceeds "
                                  "the 8192-cell limit")
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("loader", ["scene", "rank grid", "correlation model"])
+    def test_deeply_nested_json(self, small_grid, tmp_path, capsys, loader):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        argv = {
+            "scene": ["rank", "--scene", str(deep)],
+            "rank grid": ["fit", "--rank-grid", str(deep)],
+            "correlation model": ["interpolate", "--rank-grid", str(small_grid),
+                                  "--model", str(deep)],
+        }[loader]
+        rc = main(argv + ["--out", str(tmp_path / "o")])
+        self._assert_input_error(rc, capsys, f"{loader} is nested too deeply to parse")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, text", [
         (["synth", "--altitudes", "30,30"], "--altitudes must be > 0 and strictly increasing"),
@@ -465,7 +479,7 @@ class TestMalformedArtifacts:
         extra = ["--nx", "4", "--ny", "4"] if argv[0] == "synth" else ["--scene", str(scene_file)]
         rc = main(argv + extra + ["--out", str(out)])
         self._assert_input_error(rc, capsys, text)
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     @pytest.mark.parametrize("command, option", _FLOAT_OPTIONS)
@@ -480,7 +494,8 @@ class TestMalformedArtifacts:
         out = tmp_path / "o"
         rc = main([command, *inputs[command], f"{option}={value}", "--out", str(out)])
         self._assert_input_error(rc, capsys, f"must be finite and > 0, got {float(value)}")
-        assert not out.exists() or list(out.iterdir()) == []
+        # the options are checked before --out is created
+        assert not out.exists()
 
 
 class TestWriteAll:

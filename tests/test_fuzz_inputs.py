@@ -19,6 +19,9 @@ from uavrank.scene import (MAX_ARRAY_ELEMENTS, MAX_GRID_CELLS, SceneError, grid_
 
 FUZZ = settings(max_examples=150, deadline=None)
 
+# nested deeper than json.loads can recurse
+DEEP = "[" * 100000 + "]" * 100000
+
 # JSON numbers at and past the edges of a float and of an int64
 EDGE_NUMBERS = st.sampled_from([0, -1, 1.5, 2**63, -(2**63) - 1, 10**400, 1e308, -1e308])
 NUMBERS = st.one_of(st.floats(), st.integers(), EDGE_NUMBERS)
@@ -100,6 +103,7 @@ TRACES = st.builds(
                      "towers": [{"id": 1, "x": 0, "y": 0}]}))
 @example(json.dumps({"towers": [{"id": True, "x": 0, "y": 0, "array": {"elements": True}}]}))
 @example(json.dumps({"towers": [{"id": 1, "x": 0, "y": 0, "array": {"elements": 1e12}}]}))
+@example(DEEP)
 def test_load_scene_returns_or_raises_scene_error(text):
     try:
         s = load_scene(text)
@@ -147,6 +151,7 @@ def _leaves(value):
 @example(json.dumps({"positions": [[0.0, 0.0], [30.0, 0.0]], "altitudes_m": [True, 70],
                      "thresholds": ["10"], "ranks": [[[1, True]], [["2", 1]]],
                      "serving_tower": [1, 1]}))
+@example(DEEP)
 def test_rank_grid_from_json_returns_a_valid_grid_or_raises(text):
     try:
         rg = rank_grid_from_json(text)
@@ -177,6 +182,7 @@ MODELS = st.fixed_dictionaries({k: NUMBERISH for k in MODEL_KEYS[:5]},
 @example(json.dumps({"c1": True, "c2": "-0.05", "c3": 0.7, "c4": -0.001, "rmse": 0.0}))
 @example(json.dumps({"c1": 10**400, "c2": -0.05, "c3": 0.7, "c4": -0.001, "rmse": 0.0}))
 @example('{"c1": NaN, "c2": -0.05, "c3": 0.7, "c4": -0.001, "rmse": 0.0}')
+@example(DEEP)
 def test_model_from_json_returns_a_model_or_raises(text):
     try:
         model = CorrelationModel.from_json(text)

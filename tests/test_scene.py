@@ -24,6 +24,7 @@ from uavrank.scene import (
 )
 
 EPS0 = 8.8541878128e-12
+NAN = float("nan")
 
 
 class TestMaterials:
@@ -63,12 +64,19 @@ class TestMaterials:
     def test_permittivity_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             permittivity(BUILTIN_MATERIALS["concrete"], 0.0)
+        with pytest.raises(ValueError):
+            permittivity(BUILTIN_MATERIALS["concrete"], NAN)
 
     def test_material_validation(self):
         with pytest.raises(SceneError):
             Material("bad", a=0.0, b=0.0, c=0.1, d=0.5)
         with pytest.raises(SceneError):
             Material("bad", a=1.0, b=0.0, c=0.1, d=-0.5)
+
+    @pytest.mark.parametrize("field", ["a", "d"])
+    def test_material_rejects_nan(self, field):
+        with pytest.raises(SceneError):
+            Material("bad", **dict(dict(a=1.0, b=0.0, c=0.1, d=0.5), **{field: NAN}))
 
 
 class TestArrayConfig:
@@ -90,6 +98,15 @@ class TestArrayConfig:
         with pytest.raises(SceneError):
             ArrayConfig(axis=(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"spacing_wavelengths": NAN},
+        {"axis": (0.0, NAN, 0.0)},
+        {"axis": (0.0, float("inf"), 0.0)},
+    ])
+    def test_rejects_nan(self, kwargs):
+        with pytest.raises(SceneError):
+            ArrayConfig(**kwargs)
+
 
 class TestGeometryValidation:
     def test_building(self):
@@ -104,9 +121,23 @@ class TestGeometryValidation:
         with pytest.raises(SceneError):
             Tree(0, 0, canopy_height=-1.0)
 
+    @pytest.mark.parametrize("field", ["w", "h", "height"])
+    def test_building_rejects_nan(self, field):
+        sizes = dict(dict(w=10.0, h=10.0, height=5.0), **{field: NAN})
+        with pytest.raises(SceneError):
+            Building(0, 0, material=BUILTIN_MATERIALS["concrete"], **sizes)
+
+    @pytest.mark.parametrize("field", ["trunk_height", "trunk_radius", "canopy_height",
+                                       "canopy_base_radius"])
+    def test_tree_rejects_nan(self, field):
+        with pytest.raises(SceneError):
+            Tree(0, 0, **{field: NAN})
+
     def test_tower(self):
         with pytest.raises(SceneError):
             Tower(id=1, x=0, y=0, height=0)
+        with pytest.raises(SceneError):
+            Tower(id=1, x=0, y=0, height=NAN)
         t = Tower(id=1, x=3, y=4, height=12)
         assert np.allclose(t.position, (3, 4, 12))
 

@@ -1,12 +1,17 @@
 """Seeded synthetic rank fields with a prescribed spatial covariance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from uavrank import synth
 from uavrank.correlation import CorrelationModel
 from uavrank.synth import (
     MAX_FIELD_CELLS,
+    _first_block_row,
+    _grid_axes,
     correlated_field_factor,
     synthetic_grid_positions,
     synthetic_rank_field,
@@ -41,22 +46,6 @@ def _axis_grid(nx, ny, spacing, origin=(0.0, 0.0)):
     return np.column_stack([np.tile(xs, ny), np.repeat(ys, nx)])
 
 
-def _factored_covariance(monkeypatch, positions):
-    """The matrix correlated_field_factor hands to the Cholesky routine."""
-    seen = []
-    cholesky = np.linalg.cholesky
-
-    def spy(a):
-        seen.append(a.copy())
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
-    correlated_field_factor(positions, MODEL)
-    monkeypatch.undo()
-    [cov] = seen
-    return cov
-
-
 def _grids():
     """(nx, ny, spacing, origin): fixed shapes with exact and inexact
     spacings, including one-row and one-column grids, then seeded random
@@ -70,23 +59,60 @@ def _grids():
         yield nx, ny, spacing, tuple(rng.uniform(-1e5, 1e5, 2))
 
 
+def dense_field(positions, model, normals):
+    """Oracle: (L @ normals.T).T for numpy's Cholesky factor L of the
+    cdist covariance."""
+    return (np.linalg.cholesky(cdist_covariance(positions, model)) @ normals.T).T
+
+
+# the paper's fitted model, a short-range one, and an ill-conditioned one whose
+# covariance over the 36 x 71 grid has a condition number of about 2e8
+MODELS = (MODEL, CorrelationModel(0.5, -0.01, 0.5, -1e-4, rmse=0.0),
+          CorrelationModel(0.0, -0.05, 1.0, -1e-6, rmse=0.0))
+
+
+def _normals(n, rows=3, seed=0):
+    return np.random.default_rng(seed).standard_normal((rows, n))
+
+
 class TestFieldFactor:
     @pytest.mark.parametrize("nx, ny, spacing, origin", list(_grids()))
-    def test_covariance_equals_cdist_oracle(self, monkeypatch, nx, ny, spacing, origin):
+    def test_covariance_equals_cdist_oracle(self, nx, ny, spacing, origin):
+        # the blocks the kernel factors are the first block row of the oracle
         pos = _axis_grid(nx, ny, spacing, origin)
-        assert np.array_equal(_factored_covariance(monkeypatch, pos),
-                              cdist_covariance(pos, MODEL))
+        blocks = _first_block_row(*_grid_axes(pos), MODEL)
+        assert np.array_equal(np.hstack(blocks), cdist_covariance(pos, MODEL)[:nx])
 
-    def test_factor_byte_equal_at_paper_scale(self):
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("nx, ny, spacing, origin", list(_grids()))
+    def test_field_matches_dense_oracle(self, nx, ny, spacing, origin, model):
+        pos = _axis_grid(nx, ny, spacing, origin)
+        w = _normals(len(pos))
+        assert np.max(np.abs(correlated_field_factor(pos, model, w)
+                             - dense_field(pos, model, w))) <= 1e-9
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_field_matches_dense_oracle_at_paper_scale(self, model):
         pos = synthetic_grid_positions(36, 71, 30.0)
-        chol = correlated_field_factor(pos, MODEL)
-        assert np.array_equal(chol, np.linalg.cholesky(cdist_covariance(pos, MODEL)))
+        w = _normals(len(pos), rows=10)
+        assert np.max(np.abs(correlated_field_factor(pos, model, w)
+                             - dense_field(pos, model, w))) <= 1e-9
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("nx", [1, 9, 50])
+    def test_one_row_field_bit_equal(self, nx, model):
+        pos = _axis_grid(nx, 1, 30.0)
+        w = _normals(nx)
+        assert np.array_equal(correlated_field_factor(pos, model, w),
+                              dense_field(pos, model, w))
 
     def test_factor_reproduces_covariance(self):
-        pos = synthetic_grid_positions(5, 5, 30.0)
-        chol = correlated_field_factor(pos, MODEL)
-        assert np.allclose(chol @ chol.T, cdist_covariance(pos, MODEL), atol=1e-10)
-        assert np.allclose(chol, np.tril(chol))  # lower-triangular factor
+        # applied to the identity the kernel gives L^T, L lower-triangular
+        for nx, ny in ((5, 5), (6, 4), (1, 7)):
+            pos = synthetic_grid_positions(nx, ny, 30.0)
+            lt = correlated_field_factor(pos, MODEL, np.eye(len(pos)))
+            assert np.array_equal(lt, np.triu(lt))
+            assert np.allclose(lt.T @ lt, cdist_covariance(pos, MODEL), atol=1e-10)
 
     @pytest.mark.parametrize("positions", [
         np.random.default_rng(0).uniform(0, 300, (12, 2)),  # scattered
@@ -96,15 +122,17 @@ class TestFieldFactor:
         np.vstack([_axis_grid(4, 3, 30.0)[:5], [[45.0, 30.0]], _axis_grid(4, 3, 30.0)[6:]]),
         np.zeros((0, 2)),
         np.zeros((4, 3)),
+        # a grid whose y steps differ: 30 m, then 30 m plus 1e-8 of a step
+        np.column_stack([np.tile([0.0, 30.0], 3), np.repeat([0.0, 30.0, 60.0 + 3e-7], 2)]),
     ])
     def test_non_grid_positions_raise(self, positions):
         with pytest.raises(ValueError):
-            correlated_field_factor(positions, MODEL)
+            correlated_field_factor(positions, MODEL, np.ones((1, len(positions))))
 
     def test_cell_limit(self):
         pos = synthetic_grid_positions(MAX_FIELD_CELLS + 1, 1, 30.0)
         with pytest.raises(ValueError, match="cell limit"):
-            correlated_field_factor(pos, MODEL)
+            correlated_field_factor(pos, MODEL, np.ones((1, len(pos))))
 
 
 class TestRankField:
@@ -129,13 +157,6 @@ class TestRankField:
         rg = synthetic_rank_field(self.POS, MODEL, ALTITUDES, THRESHOLDS, seed=7)
         assert np.all(np.diff(rg.ranks, axis=1) >= 0)
 
-    def test_precomputed_factor_matches(self):
-        chol = correlated_field_factor(self.POS, MODEL)
-        a = synthetic_rank_field(self.POS, MODEL, ALTITUDES, THRESHOLDS, seed=3)
-        b = synthetic_rank_field(self.POS, MODEL, ALTITUDES, THRESHOLDS, seed=3,
-                                 chol=chol)
-        assert np.array_equal(a.ranks, b.ranks)
-
     def test_adjacent_altitudes_more_alike_than_distant(self):
         # AR(1) vertical chain: layer similarity decays with altitude gap
         agree_near = agree_far = 0
@@ -151,3 +172,40 @@ class TestRankField:
         assert rg.altitudes_m == ALTITUDES
         assert rg.thresholds == THRESHOLDS
         assert rg.ranks.shape == (3, 3, 36)
+
+    def test_memory_peak_at_paper_scale(self):
+        # a single 2556 x 2556 float64 array would take 52 MB
+        pos = synthetic_grid_positions(36, 71, 30.0)
+        altitudes = tuple(np.arange(30.0, 111.0, 10.0))
+        tracemalloc.start()
+        try:
+            synthetic_rank_field(pos, MODEL, altitudes, THRESHOLDS, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+@pytest.fixture(scope="module")
+def dense_factor():
+    """numpy's Cholesky factor of the cdist covariance over the 36 x 71 grid."""
+    pos = synthetic_grid_positions(36, 71, 30.0)
+    return pos, np.linalg.cholesky(cdist_covariance(pos, MODEL))
+
+
+@pytest.mark.parametrize("altitudes, thresholds, seeds", [
+    pytest.param(tuple(np.arange(30.0, 111.0, 10.0)), (100.0,), range(20), id="test_06"),
+    pytest.param(tuple(np.arange(30.0, 111.0, 10.0)), THRESHOLDS, range(50),
+                 id="synth-default"),
+    pytest.param((30.0, 70.0, 110.0), (100.0,), range(10), id="synth-loo"),
+])
+def test_rank_stacks_equal_dense_oracle(monkeypatch, dense_factor, altitudes, thresholds,
+                                        seeds):
+    pos, chol = dense_factor
+    streamed = [synthetic_rank_field(pos, MODEL, altitudes, thresholds, seed=s).ranks
+                for s in seeds]
+    monkeypatch.setattr(synth, "correlated_field_factor",
+                        lambda positions, model, normals: (chol @ normals.T).T)
+    for s, ranks in zip(seeds, streamed):
+        oracle = synthetic_rank_field(pos, MODEL, altitudes, thresholds, seed=s)
+        assert np.array_equal(ranks, oracle.ranks)
