@@ -41,8 +41,8 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
 
     Only the layers at `altitudes_m` x `thresholds` (default: all) are
     evaluated.  Layers with the same coverage share one neighbor search and
-    are predicted in one batched pass: the baselines of all of them share one
-    interpolant per neighbor pattern, and Kriging solves each system once per
+    are predicted in one batched pass: the baselines of all of them take one
+    kernel call per neighbor count, and Kriging solves each system once per
     threshold, since its weights depend on the threshold's altitude stacks
     but not on the altitude of the layer.  Every estimate equals the per-cell
     _predict_one.

@@ -29,6 +29,15 @@ class SceneError(ValueError):
     """Raised when a scene document is malformed or violates an invariant."""
 
 
+def _check_finite(where: str, obj, names) -> None:
+    """SceneError unless each field of `obj` in `names` is finite: NaN and
+    infinities pass every `not x > 0` test that the fields also have."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise SceneError(f"{where}: {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Material:
     """Frequency-dependent surface material.
@@ -49,6 +58,7 @@ class Material:
             raise SceneError(f"material {self.name!r}: a must be > 0, got {self.a}")
         if not self.d >= 0:
             raise SceneError(f"material {self.name!r}: d must be >= 0, got {self.d}")
+        _check_finite(f"material {self.name!r}", self, ("a", "b", "c", "d"))
 
 
 # Constants transcribed from ITU-R P.2040 Table 3 (valid around 1-10 GHz).
@@ -112,6 +122,7 @@ class Building:
             )
         if not self.height > 0:
             raise SceneError(f"building height must be > 0, got {self.height}")
+        _check_finite("building", self, ("x", "y", "w", "h", "height"))
 
 
 @dataclass(frozen=True)
@@ -139,6 +150,8 @@ class Tree:
         ):
             if not getattr(self, name) > 0:
                 raise SceneError(f"tree {name} must be > 0")
+        _check_finite("tree", self, ("x", "y", "trunk_height", "trunk_radius", "canopy_height",
+                                     "canopy_base_radius", "attenuation_db_per_m"))
 
 
 @dataclass(frozen=True)
@@ -152,6 +165,7 @@ class Tower:
     def __post_init__(self):
         if not self.height > 0:
             raise SceneError(f"tower {self.id}: height must be > 0")
+        _check_finite(f"tower {self.id}", self, ("x", "y", "height"))
 
     @property
     def position(self) -> np.ndarray:

@@ -1,11 +1,26 @@
-"""1D interpolation baselines against hand-built polynomial oracles."""
+"""1D interpolation baselines against hand-built polynomial oracles, and the
+numpy kernel against scipy's interpolants, bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavrank.baseline import baseline_rank
+from uavrank.baseline import _interpolate, baseline_rank, baseline_table
+from uavrank.kriging import KrigingConfig, neighbor_table
+
+
+def scipy_baseline(x, y, at, method):
+    """scipy's natural cubic spline or makima through (x[k], y[k]) at `at`,
+    linear through 2 makima samples: the oracle of the numpy kernel."""
+    from scipy.interpolate import Akima1DInterpolator, CubicSpline
+
+    if method == "spline":
+        return CubicSpline(x, y, bc_type="natural", extrapolate=True)(at)
+    if len(x) == 2:
+        t = (at - x[0]) / (x[1] - x[0])
+        return y[0] + t * (y[1] - y[0])
+    return Akima1DInterpolator(x, y, method="makima", extrapolate=True)(at)
 
 
 def natural_spline_oracle(x, y, x0):
@@ -160,3 +175,131 @@ class TestBaselineRank:
         for method in ("spline", "makima"):
             for xi, yi in zip(x, y):
                 assert baseline_rank(xi, x, y, method) == pytest.approx(yi, abs=1e-9)
+
+
+def _rows(rng, m, count):
+    """`count` strictly increasing rows of m sample indices: integer offsets
+    from a grid row, gaps that jump to more than twice the gap before them
+    (dgtsv's row interchange), and non-integer positions at scales from 1e-3
+    to 1e3."""
+    rows = []
+    for r in range(count):
+        kind = r % 3
+        if kind == 0:
+            x = np.sort(rng.choice(np.arange(-40, 41), size=m, replace=False))
+        elif kind == 1:
+            x = np.cumsum(rng.choice([1, 1, 3, 8, 71], size=m)) - 20
+        else:
+            scale = 10.0 ** rng.uniform(-3, 3)
+            x = scale * (np.cumsum(rng.exponential(1.0, m)) + rng.normal())
+        rows.append(x.astype(float))
+    return np.array(rows)
+
+
+def _targets(rng, x):
+    """One evaluation point per row: the end samples, an interior sample,
+    left and right of the samples, and between them."""
+    picks = []
+    for r, row in enumerate(x):
+        span = row[-1] - row[0]
+        picks.append((row[0], row[-1], row[len(row) // 2],
+                      row[0] - span * rng.uniform(0.01, 2.0),
+                      row[-1] + span * rng.uniform(0.01, 2.0),
+                      rng.uniform(row[0], row[-1]))[r % 6])
+    return np.array(picks)
+
+
+VALUES = {
+    "integer": lambda rng, shape: rng.integers(0, 5, size=shape).astype(float),
+    "normal": lambda rng, shape: rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3),
+    "offset-1e7": lambda rng, shape: 1e7 + rng.integers(0, 50, size=shape),
+}
+
+
+class TestKernelEqualsScipy:
+    """_interpolate on a batch of rows and layers equals scipy's interpolant
+    of each row and layer alone, compared with ==."""
+
+    @pytest.mark.parametrize("values", sorted(VALUES))
+    @pytest.mark.parametrize("m", [2, 3, 4, 9, 20])
+    @pytest.mark.parametrize("method", ["spline", "makima"])
+    def test_random_patterns(self, method, m, values):
+        rng = np.random.default_rng([m, sorted(VALUES).index(values)])
+        x = _rows(rng, m, 36)
+        y = VALUES[values](rng, (2, 36, m))
+        at = _targets(rng, x)
+        got = _interpolate(x, y, at, method)
+        want = [[scipy_baseline(x[r], y[k, r], at[r], method) for r in range(36)]
+                for k in range(2)]
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("method", ["spline", "makima"])
+    def test_row_interchange(self, method):
+        # a gap more than twice the one before it: |d_k| < |dl_k| at that
+        # step, so dgtsv interchanges the rows (at the first step for
+        # [0, 1, 5]: 2 * 1 < 4)
+        patterns = [[0, 1, 5], [0, 1, 5, 6, 20, 21, 90], [0, 2, 3, 10, 11, 40, 41],
+                    [0, 1, 2, 3, 7, 8, 9], [-5, -4, 0, 1, 2, 30, 31]]
+        rng = np.random.default_rng(3)
+        for row in [np.array(p, dtype=float) for p in patterns]:
+            dx = np.diff(row)
+            assert np.any(dx[1:] > 2 * dx[:-1])
+            y = rng.normal(size=(1, 1, len(row)))
+            for at in np.linspace(row[0] - 3, row[-1] + 3, 17):
+                got = _interpolate(row[None], y, np.array([at]), method)[0, 0]
+                assert got == scipy_baseline(row, y[0, 0], at, method)
+
+    @pytest.mark.parametrize("method", ["spline", "makima"])
+    @pytest.mark.parametrize("values", sorted(VALUES))
+    def test_table_equals_scipy(self, method, values):
+        # baseline_table interpolates at 0 over neighbor offsets; scipy runs
+        # on the absolute indices at the target, as baseline_rank does
+        rng = np.random.default_rng(sorted(VALUES).index(values))
+        pos = np.array([[30.0 * x, 30.0 * y] for y in range(7) for x in range(9)])
+        valid = rng.random(63) > 0.2
+        nt = neighbor_table(pos, valid, KrigingConfig(M=8, r0_m=90.0))
+        layers = VALUES[values](rng, (3, 63))
+        got = baseline_table(nt, layers, method)
+        for layer, row in zip(layers, got):
+            want = [scipy_baseline(np.sort(nb[:c]).astype(float), layer[np.sort(nb[:c])],
+                                   float(i), method) if c >= 2 else np.nan
+                    for i, nb, c in zip(nt.targets, nt.index, nt.count)]
+            np.testing.assert_array_equal(row, want)
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("method", ["spline", "makima"])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_raise(self, method, n, bad):
+        values = np.arange(n, dtype=float)
+        values[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            baseline_rank(0.5, np.arange(n), values, method)
+        indices = np.arange(n, dtype=float)
+        indices[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            baseline_rank(0.5, indices, np.arange(n, dtype=float), method)
+        with pytest.raises(ValueError, match="finite"):
+            baseline_rank(bad, np.arange(n), np.arange(n, dtype=float), method)
+
+    @pytest.mark.parametrize("method", ["spline", "makima"])
+    def test_table_with_non_finite_neighbor_values_raises(self, method):
+        pos = np.array([[30.0 * x, 0.0] for x in range(6)])
+        nt = neighbor_table(pos, np.ones(6, dtype=bool), KrigingConfig(M=3, r0_m=70.0))
+        values = np.array([[1.0, 2.0, np.nan, 1.0, 3.0, 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            baseline_table(nt, values, method)
+
+    def test_table_rejects_unknown_method(self):
+        # two cells, one neighbor each: no target reaches an interpolant
+        nt = neighbor_table(np.array([[0.0, 0.0], [30.0, 0.0]]), np.ones(2, dtype=bool),
+                            KrigingConfig(M=4, r0_m=50.0))
+        assert list(nt.count) == [1, 1]
+        with pytest.raises(ValueError, match="unknown baseline method"):
+            baseline_table(nt, np.array([[1.0, 2.0]]), "bogus")
+        assert np.isnan(baseline_table(nt, np.array([[1.0, 2.0]]), "spline")).all()
+
+    def test_rank_rejects_unknown_method_first(self):
+        with pytest.raises(ValueError, match="unknown baseline method"):
+            baseline_rank(0.5, [0], [1.0], "bogus")

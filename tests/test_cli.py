@@ -77,6 +77,17 @@ class TestRank:
         assert (out / "rank_h30_K100_hist.csv").is_file()
 
 
+def _run_fresh(script: str, cwd) -> None:
+    """Run `script` in a fresh interpreter that imports uavrank from the
+    same source tree as this test run; fail with its stderr."""
+    src = str(Path(uavrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
 class TestImports:
     def test_coverage_and_rank_load_no_scipy(self, scene_file, tmp_path):
         """In a fresh interpreter, importing the CLI and running the coverage,
@@ -99,12 +110,28 @@ assert scipy_modules() == [], scipy_modules()
 assert cli.main(["fit", "--rank-grid", out + "/synth", "--out", out + "/fit"]) == 0
 assert "scipy.optimize" in sys.modules and "scipy.spatial" in sys.modules
 """
-        src = str(Path(uavrank.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
+        _run_fresh(script, tmp_path)
+
+    def test_interpolate_loads_no_scipy_interpolate(self, tmp_path):
+        """In a fresh interpreter, the synth, fit and interpolate stages run
+        every method without loading scipy.interpolate: the baselines are
+        numpy only."""
+        script = f"""
+import sys
+import uavrank.cli as cli
+
+out = {str(tmp_path)!r}
+assert cli.main(["synth", "--out", out + "/synth", "--nx", "8", "--ny", "8"]) == 0
+assert cli.main(["fit", "--rank-grid", out + "/synth", "--out", out + "/fit"]) == 0
+assert cli.main(["interpolate", "--rank-grid", out + "/synth", "--model",
+                 out + "/fit/correlation_model.json", "--out", out + "/itp",
+                 "--method", "all"]) == 0
+assert "scipy.spatial" in sys.modules
+assert "scipy.interpolate" not in sys.modules
+"""
+        _run_fresh(script, tmp_path)
+        report = (tmp_path / "itp" / "mae_report.csv").read_text().splitlines()
+        assert {line.split(",")[0] for line in report[1:]} == {"kriging", "spline", "makima"}
 
 
 class TestSynthFitInterpolate:

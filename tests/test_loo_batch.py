@@ -1,15 +1,14 @@
 """Batched leave-one-out against the per-cell oracle, compared with ==.
 
 loo_evaluate predicts a layer in one pass (one neighbor search, stacked
-Kriging solves, one interpolant per neighbor pattern); every estimate must
-equal _predict_one's, which runs select_neighbors, krige_rank and
+Kriging solves, one baseline kernel call per neighbor count); every estimate
+must equal _predict_one's, which runs select_neighbors, krige_rank and
 baseline_rank for one cell.
 """
 
 import numpy as np
 import pytest
 
-from uavrank import baseline
 from uavrank.baseline import baseline_rank, baseline_table
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import RankGrid, Z_RANK
@@ -220,8 +219,7 @@ class TestBatchEqualsOracle:
                                     KrigingConfig(M=10, r0_m=80.0))
 
     def test_baselines_on_non_integer_values(self):
-        # stacked makima columns are only shown independent for integer
-        # values; other values are interpolated one column at a time
+        # non-integer values: each estimate is still baseline_rank's
         rg = _grid(9, 6, seed=13)
         values = np.random.default_rng(13).normal(size=54)
         nt = neighbor_table(rg.positions, np.ones(54, dtype=bool),
@@ -246,31 +244,23 @@ class TestStackedLayers:
             for layer, row in zip(layers, stacked):
                 np.testing.assert_array_equal(row, baseline_table(nt, layer[None], method)[0])
 
-    def test_makima_columns_dependent_only_once_stacked(self, monkeypatch):
-        # integer layers near 0 and near 1e7: each passes _columns_independent
-        # alone, and every neighbor pattern fails it once they are stacked, so
-        # the stacked call interpolates one column at a time
+    def test_makima_layers_far_apart_stacked(self):
+        # integer layers near 0 and near 1e7, and one with steps of 1e12, in
+        # one call: makima's slope weight cut is taken over each layer and
+        # target alone, so stacking a layer with weights 1e12 times larger
+        # changes none of the others' estimates
         rg = _grid(40, 1, seed=15)
         rng = np.random.default_rng(15)
-        layers = np.stack([rng.integers(0, 50, 40), 10**7 + rng.integers(0, 50, 40)]).astype(float)
+        layers = np.stack([rng.integers(0, 50, 40), 10**7 + rng.integers(0, 50, 40),
+                           1e12 * rng.integers(0, 50, 40)]).astype(float)
         nt = neighbor_table(rg.positions, np.ones(40, dtype=bool), KrigingConfig(M=6, r0_m=90.0))
-        calls, independent = [], baseline._columns_independent
-
-        def spy(x, y):
-            calls.append(independent(x, y))
-            return calls[-1]
-
-        monkeypatch.setattr(baseline, "_columns_independent", spy)
         stacked = baseline_table(nt, layers, "makima")
-        assert calls and not any(calls)
-        calls.clear()
         for layer, row in zip(layers, stacked):
             single = baseline_table(nt, layer[None], "makima")[0]
             np.testing.assert_array_equal(row, single)
             ref = [baseline_rank(float(i), nb[:c], layer[nb[:c]], "makima")
                    for i, nb, c in zip(nt.targets, nt.index, nt.count)]
             np.testing.assert_array_equal(single, ref)
-        assert calls and all(calls)
 
     @pytest.mark.parametrize("model", [MODEL, INFLATED])
     def test_kriging_equals_single_layer_calls(self, model):

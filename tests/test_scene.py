@@ -138,6 +138,35 @@ class TestGeometryValidation:
             Tower(id=1, x=0, y=0, height=0)
         with pytest.raises(SceneError):
             Tower(id=1, x=0, y=0, height=NAN)
+
+    @pytest.mark.parametrize("bad", [NAN, float("inf"), -float("inf")])
+    @pytest.mark.parametrize("build", [
+        lambda v: Tree(x=v, y=0),
+        lambda v: Tree(x=0, y=v),
+        lambda v: Tree(x=0, y=0, attenuation_db_per_m=v),
+        lambda v: Tree(x=0, y=0, trunk_height=abs(v)),
+        lambda v: Material("m", a=1.0, b=v, c=0.1, d=0.5),
+        lambda v: Material("m", a=1.0, b=0.0, c=v, d=0.5),
+        lambda v: Material("m", a=abs(v), b=0.0, c=0.1, d=abs(v)),
+        lambda v: Tower(id=1, x=v, y=0),
+        lambda v: Tower(id=1, x=0, y=v),
+        lambda v: Tower(id=1, x=0, y=0, height=abs(v)),
+        lambda v: Building(v, 0, 10, 10, 5, BUILTIN_MATERIALS["concrete"]),
+        lambda v: Building(0, v, 10, 10, 5, BUILTIN_MATERIALS["concrete"]),
+        lambda v: Building(0, 0, abs(v), 10, 5, BUILTIN_MATERIALS["concrete"]),
+    ], ids=["tree-x", "tree-y", "tree-attenuation", "tree-trunk-height", "material-b",
+            "material-c", "material-a-d", "tower-x", "tower-y", "tower-height",
+            "building-x", "building-y", "building-w"])
+    def test_non_finite_fields(self, build, bad):
+        # infinities pass the `> 0` tests; NaN coordinates and attenuation
+        # have no test but this one
+        with pytest.raises(SceneError):
+            build(bad)
+        build(1.0)  # the same object with a finite value constructs
+
+    def test_material_nan_b_and_c(self):
+        with pytest.raises(SceneError, match="b must be finite"):
+            Material("m", a=1.0, b=NAN, c=NAN, d=0.5)
         t = Tower(id=1, x=3, y=4, height=12)
         assert np.allclose(t.position, (3, 4, 12))
 
