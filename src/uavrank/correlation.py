@@ -150,7 +150,10 @@ def fit_biexponential(distances, means):
     x0 = np.array([0.5 * phi0, -0.05, 0.5 * phi0, -0.001])
 
     def residuals(c):
-        return evaluate_model(c, d) - phi
+        # a trial step of the fit may overflow exp; least_squares rejects
+        # the step on its inf residuals
+        with np.errstate(over="ignore"):
+            return evaluate_model(c, d) - phi
 
     sol = least_squares(residuals, x0, method="lm", xtol=1e-14, ftol=1e-14,
                         gtol=1e-14, max_nfev=2500)

@@ -42,9 +42,10 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
     Only the layers at `altitudes_m` x `thresholds` (default: all) are
     evaluated.  Layers with the same coverage share one neighbor search and
     are predicted in one batched pass: the baselines of all of them take one
-    kernel call per neighbor count, and Kriging solves each system once per
-    threshold, since its weights depend on the threshold's altitude stacks
-    but not on the altitude of the layer.  Every estimate equals the per-cell
+    kernel call per neighbor count, and Kriging solves each distinct system
+    once per threshold: its weights depend on the threshold's altitude stacks
+    but not on the altitude of the layer, and targets whose systems are built
+    from the same bytes share them.  Every estimate equals the per-cell
     _predict_one.
 
     `tables` maps valid-mask bytes to the neighbor table of that mask. It is

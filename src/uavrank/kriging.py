@@ -161,8 +161,8 @@ class NeighborTable:
 
     targets: np.ndarray  # (T,) sample indices, ascending
     count: np.ndarray  # (T,)
-    index: np.ndarray  # (T, M)
-    dist: np.ndarray  # (T, M)
+    index: np.ndarray  # (T, min(M, T - 1))
+    dist: np.ndarray  # (T, min(M, T - 1))
 
 
 def neighbor_table(sample_xy, valid, cfg: KrigingConfig) -> NeighborTable:
@@ -177,8 +177,9 @@ def neighbor_table(sample_xy, valid, cfg: KrigingConfig) -> NeighborTable:
     n = len(targets)
     radius = cfg.r0_m + 1e-9
     count = np.zeros(n, dtype=int)
-    index = np.full((n, cfg.M), -1)
-    dist = np.zeros((n, cfg.M))
+    width = min(cfg.M, max(n - 1, 0))  # no row holds more neighbors
+    index = np.full((n, width), -1)
+    dist = np.zeros((n, width))
     tree = cKDTree(pts)
     rows = np.arange(n if n > 1 else 0)  # a lone sample has no neighbor
     k = cfg.M + 1 + _TIE_SLACK  # each target finds itself too
@@ -195,10 +196,12 @@ def neighbor_table(sample_xy, valid, cfg: KrigingConfig) -> NeighborTable:
         rows, k = rows[~done], 2 * k
         ok = (cand < n) & (cand != r[:, None])  # n marks no candidate
         cand = np.where(ok, cand, 0)
-        d = np.linalg.norm(pts[cand] - pts[r][:, None, :], axis=-1)
+        dx = pts[cand, 0] - pts[r, 0][:, None]
+        dy = pts[cand, 1] - pts[r, 1][:, None]
+        d = np.sqrt(dx * dx + dy * dy)
         ok &= d <= radius
         # nearest first, ties to the lower index, as select_neighbors sorts
-        order = np.lexsort((cand, np.where(ok, d, np.inf)), axis=-1)[:, :cfg.M]
+        order = np.lexsort((cand, np.where(ok, d, np.inf)), axis=-1)[:, :width]
         c = np.minimum(ok.sum(axis=1), cfg.M)
         pad = np.arange(order.shape[1]) >= c[:, None]
         count[r] = c
@@ -215,9 +218,12 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
 
     `layer_values` holds one row per layer, (L, n), for layers that share the
     neighbor table and the altitude stacks; the estimates are (L, T).  The
-    weights do not depend on the layer, so each system is solved once and
-    applied to every layer.  The systems of targets with equally many neighbors are
-    solved together, with every arithmetic step in krige_rank's order so the
+    weights do not depend on the layer, so they serve every layer.  Each
+    distinct system is solved once: targets whose systems are built from the
+    same bytes (the distances between their neighbors, the distances to them
+    and v2) share its weights, and on a regular grid most systems repeat.
+    The distinct systems of targets with equally many neighbors are solved
+    together, with every arithmetic step in krige_rank's order so the
     estimates are equal to its, fallbacks included.
     """
     stacks = _altitude_stacks(altitude_stacks)
@@ -232,35 +238,80 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
     est[:, has] = layers[:, nt.index[has, 0]]
     for m in np.unique(nt.count[nt.count >= 2]):
         rows = np.flatnonzero(nt.count == m)
+        nb = nt.index[rows, :m]
+        v2 = np.mean(var[nb], axis=1)
+        solve = v2 != 0.0
+        rows, nb, v2 = rows[solve], nb[solve], v2[solve]
+        xy, d_ts = sample_xy[nb], nt.dist[rows, :m]
+        system, first, geometry, geometry_first = _distinct_systems(xy, d_ts, v2)
         block = max(1, _SOLVE_ENTRIES // (m + 1) ** 2)
-        for lo in range(0, len(rows), block):
-            r = rows[lo:lo + block]
-            nb = nt.index[r, :m]
-            v2 = np.mean(var[nb], axis=1)
-            solve = v2 != 0.0
-            r, nb, v2 = r[solve], nb[solve], v2[solve]
-            w = _solve_block(sample_xy[nb], nt.dist[r, :m], model, v2)
-            ok = np.all(np.isfinite(w), axis=1) & ~(np.abs(w.sum(axis=1) - 1.0) > 1e-6)
-            r, nb, w = r[ok], nb[ok], w[ok, None, :]
-            for e, layer in zip(est, layers):
-                e[r] = np.matmul(w, layer[nb][:, :, None])[:, 0, 0]
+        # 1 - correlation between the neighbors, once per distinct geometry
+        g_ss = np.empty((len(geometry_first), m, m))
+        for lo in range(0, len(g_ss), block):
+            g_ss[lo:lo + block] = model(_pair_distances(xy[geometry_first[lo:lo + block]]))
+        np.subtract(1.0, g_ss, out=g_ss)
+        w = np.empty((len(first), m))
+        for lo in range(0, len(first), block):
+            t = first[lo:lo + block]
+            w[lo:lo + block] = _solve_block(g_ss[geometry[lo:lo + block]], d_ts[t], model, v2[t])
+        ok = (np.all(np.isfinite(w), axis=1) & ~(np.abs(w.sum(axis=1) - 1.0) > 1e-6))[system]
+        r, nb, w = rows[ok], nb[ok], w[system[ok], None, :]
+        for e, layer in zip(est, layers):
+            e[r] = np.matmul(w, layer[nb][:, :, None])[:, 0, 0]
     return est
 
 
-def _solve_block(xy, d_ts, model: CorrelationModel, v2) -> np.ndarray:
-    """Kriging weights (B, m) of B stacked _variogram_system systems; a row is
-    NaN where its system is singular."""
-    b_n, m = d_ts.shape
-    # cdist's distances: the sum of squares in its order, built in place
+def _distinct_systems(xy, d_ts, v2):
+    """The distinct Kriging systems of B targets with m neighbors each.
+
+    A target's system is built from the distances between its neighbors
+    (computed from their positions xy, (B, m, 2)), the distances to them
+    (d_ts) and v2, elementwise, so targets whose inputs have equal bytes get
+    equal weights.  Neither the neighbors' index offsets nor d_ts alone tell
+    that: a sample 1 ulp off its grid point keeps both but changes distances
+    between the neighbors.
+
+    Returns (system, first, geometry, geometry_first): the system of each
+    target, the first target and the geometry of each system, and the first
+    target of each geometry.
+    """
+    geometries = {}  # distance bytes -> geometry number
+    systems = {}  # (geometry number, v2 bits) -> system number
+    system = np.empty(len(xy), dtype=np.intp)
+    first, geometry, geometry_first = [], [], []
+    bits = v2.view(np.int64).tolist()
+    block = max(1, _SOLVE_ENTRIES // xy.shape[1] ** 2)
+    for lo in range(0, len(xy), block):
+        pairs = zip(_pair_distances(xy[lo:lo + block]), d_ts[lo:lo + block])
+        for t, (ss, ts) in enumerate(pairs, start=lo):
+            g = geometries.setdefault(ss.tobytes() + ts.tobytes(), len(geometries))
+            if g == len(geometry_first):
+                geometry_first.append(t)
+            s = system[t] = systems.setdefault((g, bits[t]), len(systems))
+            if s == len(first):
+                first.append(t)
+                geometry.append(g)
+    return system, *(np.array(a, dtype=np.intp) for a in (first, geometry, geometry_first))
+
+
+def _pair_distances(xy) -> np.ndarray:
+    """The (B, m, m) distances between the m samples of each of B stacked
+    systems, as cdist computes them: the sum of squares in its order, built
+    in place."""
     d_ss = xy[:, :, None, 0] - xy[:, None, :, 0]
     dy = xy[:, :, None, 1] - xy[:, None, :, 1]
     d_ss *= d_ss
     dy *= dy
     d_ss += dy
-    np.sqrt(d_ss, out=d_ss)
-    gam = model(d_ss)
-    np.subtract(1.0, gam, out=gam)
-    gam *= v2[:, None, None]
+    return np.sqrt(d_ss, out=d_ss)
+
+
+def _solve_block(g_ss, d_ts, model: CorrelationModel, v2) -> np.ndarray:
+    """Kriging weights (B, m) of B stacked _variogram_system systems, from
+    1 - correlation between their samples (B, m, m), the distances to their
+    targets (B, m) and v2 (B,); a row is NaN where its system is singular."""
+    b_n, m = d_ts.shape
+    gam = g_ss * v2[:, None, None]
     a = np.ones((b_n, m + 1, m + 1))
     a[:, :m, :m] = np.maximum(0.0, gam, out=gam)
     a[:, m, m] = 0.0

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,40 @@ class TestSynthFitInterpolate:
         for method in METHODS:
             want += loo_evaluate(rg, method, cfg, model).to_csv().splitlines()[1:]
         assert (tmp_path / "o" / "mae_report.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_fit_with_overflowing_trial_steps(self, tmp_path):
+        # trial steps of this fit overflow exp: the fit ignores that and
+        # writes the model it always wrote, also with warnings as errors
+        synth_out, fit_out = tmp_path / "synth", tmp_path / "fit"
+        assert main(["synth", "--out", str(synth_out), "--seed", "0", "--nx", "10",
+                     "--ny", "10", "--altitudes", "30,70", "--thresholds", "10"]) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["fit", "--rank-grid", str(synth_out),
+                         "--out", str(fit_out)]) == EXIT_OK
+        assert (fit_out / "correlation_model.json").read_text() == """{
+  "c1": 0.7306685813531782,
+  "c2": -0.5512133939437015,
+  "c3": 0.2693314118443896,
+  "c4": -0.018428887396161935,
+  "max_distance_m": 500.0,
+  "rmse": 0.5099181925104749
+}"""
+
+    def test_interpolate_huge_m(self, tmp_path):
+        # no row holds more than n - 1 neighbors, so M past that changes nothing
+        synth_out = tmp_path / "synth"
+        assert main(["synth", "--out", str(synth_out), "--seed", "0", "--nx", "10",
+                     "--ny", "10", "--altitudes", "30,70", "--thresholds", "10"]) == EXIT_OK
+        model = tmp_path / "model.json"
+        model.write_text(CorrelationModel(0.2932, -0.0508, 0.7057, -0.001, rmse=0.0).to_json())
+        reports = []
+        for m in ("1000000000", "99"):
+            out = tmp_path / f"itp{m}"
+            assert main(["interpolate", "--rank-grid", str(synth_out), "--model", str(model),
+                         "--out", str(out), "--m", m]) == EXIT_OK
+            reports.append((out / "mae_report.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_synth_deterministic(self, tmp_path):
         a = tmp_path / "a"

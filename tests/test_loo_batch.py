@@ -1,25 +1,29 @@
 """Batched leave-one-out against the per-cell oracle, compared with ==.
 
-loo_evaluate predicts a layer in one pass (one neighbor search, stacked
-Kriging solves, one baseline kernel call per neighbor count); every estimate
-must equal _predict_one's, which runs select_neighbors, krige_rank and
-baseline_rank for one cell.
+loo_evaluate predicts a layer in one pass (one neighbor search, each
+distinct Kriging system solved once, one baseline kernel call per neighbor
+count); every estimate must equal _predict_one's, which runs
+select_neighbors, krige_rank and baseline_rank for one cell.
 """
 
 import numpy as np
 import pytest
 
+from uavrank import kriging
 from uavrank.baseline import baseline_rank, baseline_table
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import RankGrid, Z_RANK
 from uavrank.evaluate import METHODS, _predict_one, loo_evaluate
 from uavrank.kriging import (
     KrigingConfig,
+    _pair_distances,
     _variogram_system,
+    krige_rank,
     krige_table,
     neighbor_table,
     select_neighbors,
 )
+from uavrank.synth import synthetic_grid_positions, synthetic_rank_field
 
 MODEL = CorrelationModel(0.2932, -0.0508, 0.7057, -0.001, rmse=0.0)
 # correlation above 1 out to ~100 m: gamma clamps to 0 there, so some
@@ -153,7 +157,8 @@ class TestNeighborTable:
         rg = _grid(4, 3)
         valid = np.arange(12) < n_valid
         nt = neighbor_table(rg.positions, valid, KrigingConfig())
-        assert len(nt.targets) == n_valid and nt.index.shape == (n_valid, 20)
+        # no row can hold a neighbor, so the table has no columns
+        assert len(nt.targets) == n_valid and nt.index.shape == (n_valid, 0)
         assert np.all(nt.count == 0)
 
 
@@ -304,3 +309,84 @@ class TestStackedLayers:
                 done = ~np.isnan(ref)
                 errors = np.abs(layer[layer >= 0][done] - ref[done])
                 assert rep.entries[h, K] == (float(np.mean(errors)), len(errors))
+
+
+def _geometry(pos, nt, t):
+    """The bytes of target t's distances between its neighbors and to them."""
+    nb = nt.index[t, :nt.count[t]]
+    return _pair_distances(pos[nb][None])[0].tobytes() + nt.dist[t, :nt.count[t]].tobytes()
+
+
+def _assert_table_equals_krige_rank(pos, layer, stacks, cfg):
+    nt = neighbor_table(pos, layer >= 0, cfg)
+    est = krige_table(nt, pos, layer[None], stacks, MODEL)[0]
+    ref = [krige_rank(pos[i], pos, layer, stacks, cfg, MODEL, exclude=int(i)).estimate
+           for i in nt.targets]
+    np.testing.assert_array_equal(est, ref)
+
+
+class TestDistinctSystems:
+    """krige_table solves each distinct system once and gives its weights to
+    every target whose system is built from the same bytes: distances
+    between the neighbors, distances to them and v2."""
+
+    def test_synth_loo_input_solves_few_systems_each_once(self, monkeypatch):
+        # the synth-loo benchmark input: 36 x 71 cells at 30 m, 3 altitudes
+        # at one threshold; more than 2000 targets have a system to solve
+        rg = synthetic_rank_field(synthetic_grid_positions(36, 71, 30.0), MODEL,
+                                  (30.0, 70.0, 110.0), (100.0,), seed=0)
+        valid = rg.ranks[0, 0] >= 0
+        assert np.all((rg.ranks >= 0) == valid)  # one coverage mask
+        cfg = KrigingConfig()
+        nt = neighbor_table(rg.positions, valid, cfg)
+        assert np.sum(nt.count >= 2) > 2000
+        solved = []
+        real = kriging._solve_block
+
+        def spy(g_ss, d_ts, model, v2):
+            solved.extend(g.tobytes() + d.tobytes() + v.tobytes()
+                          for g, d, v in zip(g_ss, d_ts, v2))
+            return real(g_ss, d_ts, model, v2)
+
+        monkeypatch.setattr(kriging, "_solve_block", spy)
+        layers = rg.ranks[:, 0, :].astype(float)
+        est = krige_table(nt, rg.positions, layers, rg.ranks[:, 0, :].T, MODEL)
+        assert 0 < len(solved) <= 250
+        assert len(set(solved)) == len(solved)
+        # the layers share the weights: one layer against the oracle
+        np.testing.assert_array_equal(est[0], _oracle(rg, 0, layers[0], "kriging", cfg, MODEL))
+
+    def test_position_one_ulp_off_grid(self):
+        # one sample 1 ulp east of its grid point: systems around it have
+        # the neighbor offsets of systems elsewhere, but distances with other
+        # bits, and must not share their weights
+        pos = _grid(7, 7).positions.copy()
+        pos[24, 0] = np.nextafter(pos[24, 0], np.inf)
+        cfg = KrigingConfig(M=6, r0_m=75.0)
+        nt = neighbor_table(pos, np.ones(49, dtype=bool), cfg)
+        by_offsets = {}
+        for t in range(49):
+            offsets = (nt.index[t, :nt.count[t]] - t).tobytes()
+            by_offsets.setdefault(offsets, set()).add(_geometry(pos, nt, t))
+        assert any(len(g) > 1 for g in by_offsets.values())
+        layer = np.random.default_rng(18).uniform(1.0, 4.0, 49)
+        _assert_table_equals_krige_rank(pos, layer, np.tile([0.0, 2.0], (49, 1)), cfg)
+
+    def test_v2_one_ulp_apart(self):
+        # every stack has a variance of exactly 2 but one, whose variance of
+        # 2 + 2**-48 moves v2 of the targets around it to the next float
+        # after 2; some of them share their geometry with targets of v2 == 2
+        pos = _grid(7, 7).positions
+        stacks = np.tile([0.0, 2.0], (49, 1))
+        stacks[24, 1] = 2.0 + 2.0**-49
+        cfg = KrigingConfig(M=6, r0_m=75.0)
+        nt = neighbor_table(pos, np.ones(49, dtype=bool), cfg)
+        var = np.var(stacks, axis=1, ddof=1)
+        v2 = [np.mean(var[row[:c]]) for row, c in zip(nt.index, nt.count)]
+        assert set(v2) == {2.0, np.nextafter(2.0, 3.0)}
+        by_geometry = {}
+        for t in range(49):
+            by_geometry.setdefault(_geometry(pos, nt, t), set()).add(v2[t])
+        assert any(len(v) == 2 for v in by_geometry.values())
+        layer = np.random.default_rng(19).uniform(1.0, 4.0, 49)
+        _assert_table_equals_krige_rank(pos, layer, stacks, cfg)
