@@ -147,7 +147,7 @@ def rss_dbm(h: np.ndarray, tx: ArrayConfig, rx: ArrayConfig,
     w = np.ones(tx.elements) / np.sqrt(tx.elements)
     y = h @ w
     norm = np.sqrt(row_dot(y.real, y.real) + row_dot(y.imag, y.imag))
-    power = np.array([x ** 2 for x in norm])  # libm pow, as in rss
+    power = np.float_power(norm, 2.0)  # libm pow, as in rss
     p_rx = tx_power_w * power / rx.elements
     with np.errstate(divide="ignore"):
         return 10.0 * np.log10(p_rx * 1e3)

@@ -293,8 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = None  # built by the first main() call; argparse never changes it
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError, OSError) as e:

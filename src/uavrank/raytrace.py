@@ -423,12 +423,17 @@ def trace_paths(s: Scene, tx, rx):
 # ---------------------------------------------------------------------------
 
 # Elements per (candidate x receiver) and (segment x obstacle) block; bounds
-# the temporaries of one block to about 128 kB per float array.  A smaller
-# block pays numpy's per-call cost for a few receivers at a time: the rank
-# grid of a 20-building scene on 36 x 71 cells at 9 altitudes took 1.06 s at
-# 1 << 13, 0.77 s at 1 << 14 and 0.62 s at 1 << 15 (2-core VM), and larger
-# blocks raise the peak memory.
-_BLOCK = 1 << 14
+# the temporaries of one block.  A smaller block pays numpy's per-call cost
+# for a few receivers at a time, a larger one raises the peak memory.  The
+# rank grid of a 20-building, 30-tree scene on 36 x 71 cells at 9 altitudes
+# (2-core VM, range of three medians of five sweeps), and the peak RSS of 40
+# rank stages on an 11 x 11 cell window of that scene at 2 altitudes:
+#
+#   _BLOCK    grid sweep     peak RSS
+#   1 << 14   1.39-1.78 s    34.7 MB
+#   1 << 15   0.86-1.16 s    35.1 MB
+#   1 << 16   0.82-1.13 s    36.3 MB
+_BLOCK = 1 << 15
 # Elements a receiver adds to a block besides its candidates: its own point,
 # LOS segment, angles and gains, which dominate when a scene has few facets.
 _RX_ELEMENTS = 16
@@ -539,35 +544,36 @@ def _facing(fa: _FacetArrays, f, g):
 _CORNERS = (np.arange(8)[:, None] >> np.arange(3) & 1).astype(bool)
 
 
-def _projection_meets(fa: _FacetArrays, src, f, g):
-    """False where facet g, projected from src onto facet f's plane, misses
-    facet f.
+def _projection_meets(fa: _FacetArrays, src, f, lo, hi):
+    """False where the box lo .. hi, projected from src onto facet f's plane,
+    misses facet f.
 
-    A second-order path runs straight from src, the image of tx in facet f,
-    through q1 on facet f to q2 on facet g, so q1 is q2 projected from src.
-    The corners of g, grown by 1e-6 m and clipped to the front of f (where q2
-    must lie), project with _reflect_once's formula to a convex polygon that
-    holds every such q1; its bounding box must meet f grown by the same
-    margin.  The caller has kept only pairs where g reaches in front of f.
-    Pairs with the infinite ground are kept.
+    A path that reaches facet f from src, an image behind f, runs straight on
+    to a point of the box in front of f.  The corners of the box, clipped to
+    the front of f, project with _reflect_once's formula to a convex polygon
+    that holds every such reflection point; its bounding box must meet f
+    grown by 1e-6 m.  The caller has kept only rows where src lies behind f
+    and the box reaches in front of it.  Rows with the infinite ground, as f
+    or as the box, are kept.
     """
-    meets = ~(np.all(np.isfinite(fa.lo[f]), axis=1) & np.all(np.isfinite(fa.lo[g]), axis=1))
+    meets = ~(np.all(np.isfinite(fa.lo[f]), axis=1) & np.all(np.isfinite(lo), axis=1))
     k = np.flatnonzero(~meets)
-    f, g, src = f[k], g[k], src[k]
+    f, src, lo, hi = f[k], src[k], lo[k], hi[k]
     rows = np.arange(len(k))
     a, v, ahead = fa.axis[f], fa.value[f], fa.sign[f] > 0
-    lo, hi = fa.lo[g] - 1e-6, fa.hi[g] + 1e-6
-    lo[rows, a] = np.where(ahead, np.maximum(lo[rows, a], v), lo[rows, a])
-    hi[rows, a] = np.where(ahead, hi[rows, a], np.minimum(hi[rows, a], v))
-    c = np.where(_CORNERS, hi[:, None, :], lo[:, None, :])  # (P, 8, 3)
+    lo_a = np.where(ahead, np.maximum(lo[rows, a], v), lo[rows, a])
+    hi_a = np.where(ahead, hi[rows, a], np.minimum(hi[rows, a], v))
     s_a = src[rows, a][:, None]
-    t = (v[:, None] - s_a) / (np.take_along_axis(c, a[:, None, None], axis=2)[:, :, 0] - s_a)
-    p = src[:, None, :] + t[:, :, None] * (c - src[:, None, :])
-    o = fa.others[f]
-    p = np.take_along_axis(p, o[:, None, :], axis=2)  # (P, 8, 2) in-plane
-    meets[k] = np.all((p.min(axis=1) <= np.take_along_axis(fa.hi[f], o, axis=1) + 1e-6)
-                      & (p.max(axis=1) >= np.take_along_axis(fa.lo[f], o, axis=1) - 1e-6),
-                      axis=1)
+    c_a = np.where(_CORNERS[:, a].T, hi_a[:, None], lo_a[:, None])  # (P, 8)
+    t = (v[:, None] - s_a) / (c_a - s_a)
+    inside = True
+    for o in fa.others[f].T:
+        # only the in-plane coordinates of the projected corners
+        s_o = src[rows, o][:, None]
+        p = s_o + t * (np.where(_CORNERS[:, o].T, hi[rows, o, None], lo[rows, o, None]) - s_o)
+        inside = (inside & (p.min(axis=1) <= fa.hi[f, o] + 1e-6)
+                  & (p.max(axis=1) >= fa.lo[f, o] - 1e-6))
+    meets[k] = inside
     return meets
 
 
@@ -581,7 +587,7 @@ def _image_tree(fa: _FacetArrays, tx) -> _ImageTree:
     # facet i, so facet pairs that never face each other are dropped
     keep = (j != front[i]) & _facing(fa, front[i], j) & _facing(fa, j, front[i])
     i, j = i[keep], j[keep]
-    keep = _projection_meets(fa, img1[i], front[i], j)
+    keep = _projection_meets(fa, img1[i], front[i], fa.lo[j] - 1e-6, fa.hi[j] + 1e-6)
     i, j = i[keep], j[keep]
     return _ImageTree(
         order=np.concatenate([np.ones(len(front), int), np.full(len(j), 2)]),
@@ -609,8 +615,8 @@ def _reflect(fa: _FacetArrays, f, src, target):
     denom = target[rows, a] - s_a
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (fa.value[f] - s_a) / denom
+        q = src + t[:, None] * (target - src)  # inf or nan where `ok` fails
     ok = (np.abs(denom) >= 1e-15) & (POINT_TOL < t) & (t < 1.0 - POINT_TOL)
-    q = src + t[:, None] * (target - src)
     q[rows, a] = fa.value[f]
     return ok & _contains(fa, f, q), q
 
@@ -715,13 +721,13 @@ def _tree_terms(ob: _Obstacles, p0, p1, d, seg_len):
     if len(ob.reach) == 0:
         return blocked, loss
     # A tree outside the horizontal bounding box of a segment, grown by its
-    # reach, can neither block nor attenuate it.
+    # reach, can neither block nor attenuate it.  One (segment, tree) array
+    # per bound costs half as much as one (segment, tree, 2) array.
     m = ob.reach + 1e-3
-    lo = np.minimum(p0[:, :2], p1[:, :2])
-    hi = np.maximum(p0[:, :2], p1[:, :2])
-    near = np.all((ob.tree_xy + m[:, None] >= lo[:, None, :])
-                  & (ob.tree_xy - m[:, None] <= hi[:, None, :]), axis=2)
-    si, ti = np.nonzero(near)
+    x, y = ob.tree_xy.T
+    (x0, y0), (x1, y1) = np.minimum(p0[:, :2], p1[:, :2]).T, np.maximum(p0[:, :2], p1[:, :2]).T
+    si, ti = np.nonzero((x + m >= x0[:, None]) & (x - m <= x1[:, None])
+                        & (y + m >= y0[:, None]) & (y - m <= y1[:, None]))
     if len(si) == 0:
         return blocked, loss
     q0, dd, length = p0[si], d[si], seg_len[si]
@@ -774,16 +780,16 @@ def _gains(s: Scene, fa: _FacetArrays, length, foliage_db, bounces):
     for f, u in bounces:
         angle = np.arccos(np.clip(np.abs(u[np.arange(len(f)), fa.axis[f]]), 0.0, 1.0))
         cos_t = np.cos(angle)
-        # np.float64 ** 2 is libm pow, which the array square differs from in
-        # the last bit now and then
-        sin2 = np.array([x ** 2 for x in np.sin(angle)])
+        # float_power is libm pow, as np.float64 ** 2 is; the array square
+        # differs from it in the last bit now and then
+        sin2 = np.float_power(np.sin(angle), 2.0)
         eps = fa.eps[f]
         g = np.sqrt(eps - sin2)
         r = np.where(fa.tm[f], (g - eps * cos_t) / (g + eps * cos_t),
                      (cos_t - g) / (cos_t + g))
         # Python's complex product, which unlike numpy's never fuses a multiply-add
         gr, gi = gr * r.real - gi * r.imag, gr * r.imag + gi * r.real
-    fol = np.array([10.0 ** x for x in (-foliage_db / 20.0).tolist()])  # libm pow too
+    fol = np.float_power(10.0, -foliage_db / 20.0)  # libm pow too
     gr, gi = gr * fol, gi * fol
     phase = np.zeros(len(length), dtype=complex)
     phase.imag = -2.0 * np.pi * length / lam
@@ -794,10 +800,27 @@ def _gains(s: Scene, fa: _FacetArrays, length, foliage_db, bounces):
     return gain
 
 
+def _block_candidates(fa: _FacetArrays, tree: _ImageTree, rx, front_rx):
+    """Indices of the candidates whose image can reach a receiver of the
+    block through their last facet: the image lies behind that facet, some
+    receiver in front of it, and the receivers' box, projected from the image
+    onto the facet's plane, meets the facet.  The exact last-bounce test of
+    _trace_block passes no other candidate."""
+    last = tree.last
+    a = fa.axis[last]
+    behind = fa.sign[last] * (tree.img[np.arange(len(last)), a] - fa.value[last]) < 0
+    k = np.flatnonzero(behind & front_rx.any(axis=1)[last])
+    lo = np.broadcast_to(rx.min(axis=0, initial=np.inf), (len(k), 3))
+    hi = np.broadcast_to(rx.max(axis=0, initial=-np.inf), (len(k), 3))
+    return k[_projection_meets(fa, tree.img[k], last[k], lo, hi)]
+
+
 def _trace_block(s, fa, tree, ob, tx, rx):
     """PathTable rows of one block of receivers, plus each row's candidate."""
     n_rx = len(rx)
     front_rx = fa.sign[:, None] * (rx[:, fa.axis].T - fa.value[:, None]) > POINT_TOL
+    kept = _block_candidates(fa, tree, rx, front_rx)
+    tree = _ImageTree(*(col[kept] for col in tree))
 
     # last bounce toward every receiver, one coordinate at a time so that only
     # the candidates that hit their facet get a reflection point
@@ -805,14 +828,15 @@ def _trace_block(s, fa, tree, ob, tx, rx):
     a = fa.axis[last]
     s_a = tree.img[rows, a]
     denom = rx.T[a] - s_a[:, None]
+    # rows with a zero denom are dropped by `ok`; their t is inf or nan
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (fa.value[last] - s_a)[:, None] / denom
-    ok = front_rx[last] & (np.abs(denom) >= 1e-15) & (POINT_TOL < t) & (t < 1.0 - POINT_TOL)
-    for k in range(2):
-        o = fa.others[last, k]
-        s_o = tree.img[rows, o][:, None]
-        p = s_o + t * (rx.T[o] - s_o)
-        ok &= (p >= fa.lo[last, o, None] - POINT_TOL) & (p <= fa.hi[last, o, None] + POINT_TOL)
+        ok = front_rx[last] & (np.abs(denom) >= 1e-15) & (POINT_TOL < t) & (t < 1.0 - POINT_TOL)
+        for k in range(2):
+            o = fa.others[last, k]
+            s_o = tree.img[rows, o][:, None]
+            p = s_o + t * (rx.T[o] - s_o)
+            ok &= (p >= fa.lo[last, o, None] - POINT_TOL) & (p <= fa.hi[last, o, None] + POINT_TOL)
     c, r = np.nonzero(ok)
     # the reflection points of the survivors, from the same t
     q = tree.img[c] + t[c, r][:, None] * (rx[r] - tree.img[c])
@@ -830,8 +854,8 @@ def _trace_block(s, fa, tree, ob, tx, rx):
     # (receiver, candidate, vertices, facets hit) per order; LOS is candidate -1
     groups = (
         (np.arange(n_rx), np.full(n_rx, -1), [np.broadcast_to(tx, rx.shape), rx], []),
-        (r1, c1, [np.broadcast_to(tx, q.shape), q, rx[r1]], [tree.last[c1]]),
-        (r2, c2, [np.broadcast_to(tx, q1.shape), q1, q2, rx[r2]],
+        (r1, kept[c1], [np.broadcast_to(tx, q.shape), q, rx[r1]], [tree.last[c1]]),
+        (r2, kept[c2], [np.broadcast_to(tx, q1.shape), q1, q2, rx[r2]],
          [tree.first[c2], tree.last[c2]]),
     )
     p0 = np.concatenate([v for g in groups for v in g[2][:-1]])

@@ -178,3 +178,19 @@ class TestRSS:
     def test_empty_paths_raise(self):
         with pytest.raises(OutOfCoverageError):
             rss([], ArrayConfig(), ArrayConfig(), 10.0, 0.09)
+
+
+def test_float_power_rounds_as_python_pow():
+    # rss_dbm and the tracer's gains take x ** 2 and 10 ** x with
+    # np.float_power, whose results must be those of the per-link code's
+    # Python ** (libm pow) to the last bit; a numpy build that rounds
+    # float_power otherwise fails here rather than changing the artifacts
+    rng = np.random.default_rng(0)
+    x = np.concatenate([
+        rng.uniform(-1.0, 1.0, 100_000),  # sines and beam amplitudes
+        10.0 ** rng.uniform(-170.0, -150.0, 10_000),  # squares underflow
+        10.0 ** rng.uniform(100.0, 150.0, 10_000),  # large squares
+    ])
+    assert np.float_power(x, 2.0).tolist() == [v ** 2.0 for v in x.tolist()]
+    e = -rng.uniform(0.0, 40.0, 100_000)  # -foliage_db / 20
+    assert np.float_power(10.0, e).tolist() == [10.0 ** v for v in e.tolist()]

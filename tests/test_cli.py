@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import uavrank
-from uavrank import evaluate
+from uavrank import cli, evaluate
 from uavrank.cli import EXIT_INPUT, EXIT_OK, _write_all, build_parser, main
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import Z_RANK, RankGrid, rank_grid_from_json, rank_grid_to_json
 from uavrank.evaluate import METHODS, loo_evaluate
 from uavrank.kriging import KrigingConfig
-from uavrank.scene import Scene, Tower, serialize_scene
+from uavrank.scene import BUILTIN_MATERIALS, Building, Scene, Tower, Tree, serialize_scene
 
 
 @pytest.fixture
@@ -76,6 +76,45 @@ class TestRank:
         assert rg.thresholds == (10.0, 100.0)
         assert (out / "rank_h30_K10.csv").is_file()
         assert (out / "rank_h30_K100_hist.csv").is_file()
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_behave_like_fresh_calls(self, tmp_path, monkeypatch):
+        """main() builds its parser once per process; a rank stage, a
+        rejected argv and a fit stage give the exit codes and artifacts they
+        give with a fresh parser each."""
+        s = Scene(extent_m=(300.0, 300.0), grid_spacing_m=30.0, altitudes_m=(30.0, 70.0),
+                  buildings=(Building(60.0, 90.0, 40.0, 30.0, 40.0,
+                                      BUILTIN_MATERIALS["concrete"]),),
+                  trees=(Tree(x=200.0, y=200.0),), towers=(Tower(id=1, x=150.0, y=150.0),))
+        scene = tmp_path / "scene.json"
+        scene.write_text(serialize_scene(s))
+
+        def chain(root, fresh):
+            codes = []
+            for argv in (["rank", "--scene", str(scene), "--out", str(root / "rank")],
+                         ["fit", "--rank-grid", str(root / "rank"), "--max-dist", "far"],
+                         ["fit", "--rank-grid", str(root / "rank"), "--out", str(root / "fit")]):
+                if fresh:
+                    monkeypatch.setattr(cli, "_parser", None)
+                try:
+                    codes.append(main(argv))
+                except SystemExit as e:
+                    codes.append(e.code)
+            return codes
+
+        assert chain(tmp_path / "fresh", fresh=True) == [EXIT_OK, 2, EXIT_OK]
+        parser = cli._parser
+        assert chain(tmp_path / "reused", fresh=False) == [EXIT_OK, 2, EXIT_OK]
+        assert cli._parser is parser
+        fresh = sorted(p.relative_to(tmp_path / "fresh") for p in (tmp_path / "fresh").rglob("*"))
+        assert fresh == sorted(p.relative_to(tmp_path / "reused")
+                               for p in (tmp_path / "reused").rglob("*"))
+        assert Path("fit", "correlation_model.json") in fresh
+        for name in fresh:
+            if (tmp_path / "fresh" / name).is_file():
+                assert ((tmp_path / "fresh" / name).read_bytes()
+                        == (tmp_path / "reused" / name).read_bytes())
 
 
 def _run_fresh(script: str, cwd) -> None:

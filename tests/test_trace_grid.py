@@ -137,8 +137,9 @@ def _columns(table: PathTable):
             for c in (getattr(table, f.name) for f in fields(PathTable))]
 
 
-@pytest.mark.parametrize("block", [1 << 6, 1 << 20])
+@pytest.mark.parametrize("block", [1, 1 << 6, raytrace._BLOCK, 1 << 20])
 def test_table_does_not_depend_on_block(monkeypatch, block):
+    # block 1 traces one receiver per block
     s = random_scene(4)
     tx = s.towers[0].position
     rx = receivers(s, tx)
@@ -159,7 +160,7 @@ def test_pruned_image_tree(monkeypatch, scene):
     pruned = raytrace._image_tree(fa, tx)
     table = trace_paths(scene, tx, rx)
     with monkeypatch.context() as m:
-        m.setattr(raytrace, "_projection_meets", lambda fa, src, f, g: np.ones(len(f), bool))
+        m.setattr(raytrace, "_projection_meets", lambda fa, src, f, lo, hi: np.ones(len(f), bool))
         full = raytrace._image_tree(fa, tx)
         assert _columns(trace_paths(scene, tx, rx)) == _columns(table)
     pairs = set(zip(pruned.first.tolist(), pruned.last.tolist()))
@@ -170,6 +171,51 @@ def test_pruned_image_tree(monkeypatch, scene):
         assert [(p.order, p.aod, p.aoa, p.gain) for p in trace_paths(scene, tx, point)] == list(
             zip(table.order[rows].tolist(), map(tuple, table.aod[rows].tolist()),
                 map(tuple, table.aoa[rows].tolist()), table.gain[rows].tolist()))
+
+
+@pytest.mark.parametrize("block", [1, raytrace._BLOCK])
+@pytest.mark.parametrize("scene", [random_scene(seed) for seed in SEEDS[::3]]
+                         + [touching_scene(seed) for seed in range(4)])
+def test_block_candidate_cull(monkeypatch, scene, block):
+    # each block of receivers drops the candidates whose last facet its
+    # receivers cannot reach through their image; the table must be that of
+    # every candidate
+    tx = scene.towers[0].position
+    rx = np.vstack([receivers(scene, tx), CORNER_RX])
+    monkeypatch.setattr(raytrace, "_BLOCK", block)
+    dropped = []
+    cull = raytrace._block_candidates
+
+    def counted(fa, tree, rx, front_rx):
+        kept = cull(fa, tree, rx, front_rx)
+        dropped.append(len(tree.order) - len(kept))
+        return kept
+
+    with monkeypatch.context() as m:
+        m.setattr(raytrace, "_block_candidates", counted)
+        table = trace_paths(scene, tx, rx)
+    assert sum(dropped) > 0
+    monkeypatch.setattr(raytrace, "_block_candidates",
+                        lambda fa, tree, rx, front_rx: np.arange(len(tree.order)))
+    assert _columns(trace_paths(scene, tx, rx)) == _columns(table)
+
+
+def test_receiver_level_with_an_image():
+    # the image of the tower in the wall at y = 120 is (150, 90, 10): toward
+    # a receiver at (150, 90, h) that candidate's segment parameter is
+    # infinite and the receiver's x offset from the image is 0; pytest fails
+    # the test on the RuntimeWarning of inf * 0
+    concrete = BUILTIN_MATERIALS["concrete"]
+    s = Scene(extent_m=(EXTENT, EXTENT), grid_spacing_m=30.0, altitudes_m=(30.0,),
+              buildings=(Building(60.0, 90.0, 40.0, 30.0, 40.0, concrete),),
+              towers=(Tower(id=1, x=150.0, y=150.0, height=10.0),))
+    tx = s.towers[0].position
+    rx = np.array([[150.0, 90.0, 30.0], [150.0, 90.0, 10.0]])
+    table = trace_paths(s, tx, rx)
+    for i, point in enumerate(rx):
+        rows = table.cell == i
+        assert [(p.order, p.gain) for p in trace_paths(s, tx, point)] == list(
+            zip(table.order[rows].tolist(), table.gain[rows].tolist()))
 
 
 def test_special_receivers_reach_every_order():
