@@ -176,8 +176,8 @@ def cmd_calibrate(args) -> int:
             raise InputError(f"trace file not found: {p}")
     measured = Trace.from_csv(Path(args.measured).read_text())
     simulated = Trace.from_csv(Path(args.simulated).read_text())
-    out = _out_dir(args.out)
     offset, rmse = calibrate_offset(measured, simulated)
+    out = _out_dir(args.out)
     _write_all(out, {
         "calibration.csv": "offset_db,rmse\n" + f"{offset:.1f},{rmse:.9f}\n",
     })

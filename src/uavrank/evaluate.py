@@ -139,6 +139,9 @@ class Trace:
         if len(names) < 5 or not {"t_s", "x_m", "y_m", "z_m"} <= set(names[:-1]):
             raise ValueError(f"trace CSV header must be t_s,x_m,y_m,z_m,<kind>, "
                              f"got {lines[0][1]!r}")
+        repeated = [c for i, c in enumerate(names) if c in names[:i]]
+        if repeated:
+            raise ValueError(f"trace CSV header repeats column {repeated[0]!r}")
         rows = np.empty((len(lines) - 1, len(names)))
         for r, (n, line) in enumerate(lines[1:]):
             cells = line.split(",")
@@ -191,6 +194,9 @@ def calibrate_offset(measured: Trace, simulated: Trace) -> tuple[float, float]:
     Returns (offset_db, post-calibration RMSE); ties favor the smaller
     absolute offset.
     """
+    if measured.kind != simulated.kind:
+        raise ValueError(f"cannot calibrate a {measured.kind!r} trace against "
+                         f"a {simulated.kind!r} trace")
     m, s = align_traces(measured, simulated)
     if len(m) == 0:
         raise ValueError("no overlapping samples between the traces")

@@ -7,10 +7,12 @@ safe to share across workers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -180,7 +182,6 @@ class Scene:
     altitudes_m: tuple[float, ...] = (30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0, 110.0)
     tx_power_w: float = 10.0
     ground_material: Material = BUILTIN_MATERIALS["medium_dry_ground"]
-    materials: dict = field(default_factory=dict)
     buildings: tuple[Building, ...] = ()
     trees: tuple[Tree, ...] = ()
     towers: tuple[Tower, ...] = ()
@@ -281,50 +282,65 @@ def check_layer_axis(what: str, values, thresholds: bool = False) -> None:
         raise SceneError(f"{what} must be {rule}, got {tuple(values)}")
 
 
-def _number(obj: dict, key: str, where: str, default=None, kind=float):
-    """obj[key], a JSON number, converted by `kind`; `default` when the key
-    is absent, or a missing-field error without one."""
-    if key not in obj:
-        if default is None:
-            raise SceneError(f"{where} missing field {key!r}")
-        return default
-    value = json_numbers(obj[key], f"{where} field {key!r}")
-    if kind is int and value != int(value):
-        # rejected, not truncated
-        raise SceneError(f"{where} field {key!r} must be an integer, got {value!r}")
-    return kind(value)
+@functools.cache
+def _schema(cls) -> tuple:
+    """(field, annotation as a type) of each field of a scene dataclass, in
+    field order: the dataclasses are the one statement of a scene document's
+    keys, types and defaults."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls))
 
 
-def _numbers(obj: dict, key: str, where: str, default: tuple, length=None) -> tuple:
-    """obj[key], a JSON array of numbers, as a tuple of the values as given
-    (an int stays an int, as artifacts copy them); `default` if it is absent."""
-    if key not in obj:
-        return default
-    value, what = obj[key], f"{where} field {key!r}"
-    if not isinstance(value, list) or (length is not None and len(value) != length):
-        size = f"{length} " if length is not None else ""
-        raise SceneError(f"{what} must be an array of {size}numbers, got {value!r}")
-    json_numbers(value, what, ndim=1)
-    return tuple(value)
+def _read(cls, obj: dict, where: str, materials=None, **given):
+    """cls built from the JSON object `obj`, one field at a time in field
+    order, each read by its annotation; the fields in `given` are taken as
+    they are.  A key `obj` lacks takes the field's default, or is a
+    missing-field error without one.  float fields come back as float, int
+    fields as int (a fraction is rejected), arrays as the tuple of their
+    values as given (an int stays an int, as artifacts copy them), a
+    dataclass field as a nested object, and a Material as a name in
+    `materials`."""
+    kwargs = dict(given)
+    for f, hint in _schema(cls):
+        key = f.name
+        if key in given:
+            continue
+        if hint is Material:  # a building's: a name in the table, concrete if absent
+            kwargs[key] = _material(materials, obj.get(key, "concrete"), where)
+            continue
+        if key not in obj:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise SceneError(f"{where} missing field {key!r}")
+            continue
+        value, what = obj[key], f"{where} field {key!r}"
+        if hint is float or hint is int:
+            value = json_numbers(value, what)
+            if hint is int and value != int(value):
+                # rejected, not truncated
+                raise SceneError(f"{what} must be an integer, got {value!r}")
+            kwargs[key] = hint(value)
+        elif hint is str:
+            kwargs[key] = str(value)
+        elif typing.get_origin(hint) is tuple:
+            args = typing.get_args(hint)
+            length = None if args[-1] is Ellipsis else len(args)
+            if not isinstance(value, list) or length not in (None, len(value)):
+                size = f"{length} " if length is not None else ""
+                raise SceneError(f"{what} must be an array of {size}numbers, got {value!r}")
+            json_numbers(value, what, ndim=1)
+            kwargs[key] = tuple(value)
+        elif value is not None:  # a nested object (a tower's array); null reads as absent
+            if not isinstance(value, dict):
+                raise SceneError(f"{what} must be a JSON object")
+            kwargs[key] = _read(hint, value, where)
+    return cls(**kwargs)
 
 
-def _parse_material(obj: dict, where: str) -> Material:
-    if "name" not in obj:
-        raise SceneError(f"{where} missing field 'name'")
-    return Material(name=str(obj["name"]),
-                    **{k: _number(obj, k, where) for k in ("a", "b", "c", "d")})
-
-
-def _parse_array(obj, where: str) -> ArrayConfig:
-    if obj is None:
-        return ArrayConfig()
-    if not isinstance(obj, dict):
-        raise SceneError(f"{where} field 'array' must be a JSON object")
-    return ArrayConfig(
-        elements=_number(obj, "elements", where, 4, int),
-        spacing_wavelengths=_number(obj, "spacing_wavelengths", where, 0.5),
-        axis=_numbers(obj, "axis", where, (0.0, 1.0, 0.0), 3),
-    )
+def _material(materials: dict, name, where: str) -> Material:
+    """The material a document names, from its material table."""
+    if not isinstance(name, str) or name not in materials:
+        raise SceneError(f"{where}: unknown material reference {name!r}")
+    return materials[name]
 
 
 def _objects(doc: dict, key: str) -> list[dict]:
@@ -355,84 +371,29 @@ def load_scene(text: str) -> Scene:
     doc = parse_json(text, "scene")
     if not isinstance(doc, dict):
         raise SceneError("scene document must be a JSON object")
-
     materials = dict(BUILTIN_MATERIALS)
-    for i, mobj in enumerate(_objects(doc, "materials")):
-        m = _parse_material(mobj, f"materials[{i}]")
+    for i, obj in enumerate(_objects(doc, "materials")):
+        m = _read(Material, obj, f"materials[{i}]")
         materials[m.name] = m
-
-    def resolve(name, where):
-        if not isinstance(name, str) or name not in materials:
-            raise SceneError(f"{where}: unknown material reference {name!r}")
-        return materials[name]
-
-    ground_name = doc.get("ground_material", "medium_dry_ground")
-    ground = resolve(ground_name, "ground_material")
-
-    buildings = []
-    for i, b in enumerate(_objects(doc, "buildings")):
-        where = f"buildings[{i}]"
-        buildings.append(Building(
-            **{k: _number(b, k, where) for k in ("x", "y", "w", "h", "height")},
-            material=resolve(b.get("material", "concrete"), where),
-        ))
-
-    tree_defaults = {"trunk_height": 10.0, "trunk_radius": 0.5, "canopy_height": 10.0,
-                     "canopy_base_radius": 5.0, "attenuation_db_per_m": 1.0}
-    trees = []
-    for i, t in enumerate(_objects(doc, "trees")):
-        where = f"trees[{i}]"
-        trees.append(Tree(
-            x=_number(t, "x", where),
-            y=_number(t, "y", where),
-            **{k: _number(t, k, where, v) for k, v in tree_defaults.items()},
-        ))
-
-    towers = []
-    for i, t in enumerate(_objects(doc, "towers")):
-        where = f"towers[{i}]"
-        towers.append(Tower(
-            id=_number(t, "id", where, kind=int),
-            x=_number(t, "x", where),
-            y=_number(t, "y", where),
-            height=_number(t, "height", where, 10.0),
-            array=_parse_array(t.get("array"), where),
-        ))
-
-    defaults = Scene()
-    return Scene(
-        frequency_hz=_number(doc, "frequency_hz", "scene", defaults.frequency_hz),
-        extent_m=_numbers(doc, "extent_m", "scene", defaults.extent_m, 2),
-        grid_spacing_m=_number(doc, "grid_spacing_m", "scene", defaults.grid_spacing_m),
-        altitudes_m=_numbers(doc, "altitudes_m", "scene", defaults.altitudes_m),
-        tx_power_w=_number(doc, "tx_power_w", "scene", defaults.tx_power_w),
-        ground_material=ground,
-        materials=materials,
-        buildings=tuple(buildings),
-        trees=tuple(trees),
-        towers=tuple(towers),
-    )
+    ground = _material(materials, doc.get("ground_material", Scene.ground_material.name),
+                       "ground_material")
+    nested = {key: tuple(_read(cls, obj, f"{key}[{i}]", materials)
+                         for i, obj in enumerate(_objects(doc, key)))
+              for key, cls in (("buildings", Building), ("trees", Tree), ("towers", Tower))}
+    return _read(Scene, doc, "scene", ground_material=ground, **nested)
 
 
 def serialize_scene(s: Scene) -> str:
-    """Serialize a Scene back to its JSON document form (round-trippable)."""
-
-    def fields(obj, names, **extra) -> dict:
-        return {**{k: getattr(obj, k) for k in names}, **extra}
-
-    doc = fields(
-        s, ("frequency_hz", "grid_spacing_m", "tx_power_w"),
-        extent_m=list(s.extent_m),
-        altitudes_m=list(s.altitudes_m),
-        materials=[fields(m, ("name", "a", "b", "c", "d"))
-                   for m in sorted(s.materials.values(), key=lambda m: m.name)],
-        ground_material=s.ground_material.name,
-        buildings=[fields(b, ("x", "y", "w", "h", "height"), material=b.material.name)
-                   for b in s.buildings],
-        trees=[asdict(t) for t in s.trees],
-        towers=[fields(t, ("id", "x", "y", "height"),
-                       array=fields(t.array, ("elements", "spacing_wavelengths"),
-                                    axis=list(t.array.axis)))
-                for t in s.towers],
-    )
+    """Serialize a Scene back to its JSON document form (round-trippable):
+    materials are written by name, with a table of each material the scene
+    uses; ValueError if two different ones share a name."""
+    used = {}
+    for m in (s.ground_material, *(b.material for b in s.buildings)):
+        if used.setdefault(m.name, m) != m:
+            raise ValueError(f"two different materials are named {m.name!r}")
+    doc = asdict(s)
+    doc["materials"] = [asdict(used[name]) for name in sorted(used)]
+    doc["ground_material"] = s.ground_material.name
+    for b, bdoc in zip(s.buildings, doc["buildings"]):
+        bdoc["material"] = b.material.name
     return json.dumps(doc, indent=2, sort_keys=True)

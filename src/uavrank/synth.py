@@ -94,8 +94,6 @@ def correlated_field_factor(positions: np.ndarray, model: CorrelationModel,
     # kept. At step 0, P = Q = R0^-1 [T_1 ... T_{ny-1}] with L_00 = R0.
     lkk = np.linalg.cholesky(blocks[0])
     z[:nx] = lkk @ wk[0]
-    if ny == 1:
-        return z.reshape(w.shape).T
     p = q = np.linalg.solve(lkk, blocks[1:].transpose(1, 0, 2).reshape(nx, -1))
     z[nx:] = p.T @ wk[0]
     eye = np.eye(nx)

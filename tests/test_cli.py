@@ -528,6 +528,29 @@ class TestMalformedArtifacts:
                    "--simulated", str(tmp_path / "sim.csv"), "--out", str(tmp_path / "o")])
         self._assert_input_error(rc, capsys, text)
 
+    @pytest.mark.parametrize("header, text", [
+        ("t_s,x_m,y_m,z_m,x_m,rss_dbm", "trace CSV header repeats column 'x_m'"),
+        ("t_s,x_m,y_m,z_m,t_s", "trace CSV header repeats column 't_s'"),
+    ])
+    def test_trace_repeated_column(self, tmp_path, capsys, header, text):
+        # a repeated name would read its last column for both
+        cells = ",".join(["1"] * len(header.split(",")))
+        (tmp_path / "meas.csv").write_text(f"{header}\n{cells}\n")
+        (tmp_path / "sim.csv").write_text("t_s,x_m,y_m,z_m,rss_dbm\n1,0,0,30,-61\n")
+        rc = main(["calibrate", "--measured", str(tmp_path / "meas.csv"),
+                   "--simulated", str(tmp_path / "sim.csv"), "--out", str(tmp_path / "o")])
+        self._assert_input_error(rc, capsys, text)
+
+    def test_trace_kinds_differ(self, tmp_path, capsys):
+        (tmp_path / "meas.csv").write_text("t_s,x_m,y_m,z_m,rss_dbm\n0,0,0,30,-60\n")
+        (tmp_path / "sim.csv").write_text("t_s,x_m,y_m,z_m,rank\n0,0,0,30,2\n")
+        out = tmp_path / "o"
+        rc = main(["calibrate", "--measured", str(tmp_path / "meas.csv"),
+                   "--simulated", str(tmp_path / "sim.csv"), "--out", str(out)])
+        self._assert_input_error(rc, capsys, "cannot calibrate a 'rss_dbm' trace against "
+                                 "a 'rank' trace")
+        assert not out.exists()
+
     @pytest.mark.parametrize("altitudes, text", [
         ([-10, 30], "scene altitudes_m must be > 0 and strictly increasing, got (-10, 30)"),
         ([], "scene altitudes_m must be finite and non-empty, got ()"),

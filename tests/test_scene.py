@@ -307,9 +307,31 @@ class TestLoadScene:
 
     def test_defaults_applied(self):
         s = load_scene("{}")
-        assert s == Scene(materials=dict(BUILTIN_MATERIALS))
+        assert s == Scene()
 
     def test_round_trip(self):
         s = load_scene(json.dumps(SCENE_DOC))
         s2 = load_scene(serialize_scene(s))
         assert s2 == s
+
+    @pytest.mark.parametrize("ground, material", [
+        (BUILTIN_MATERIALS["medium_dry_ground"],
+         Material("brick", a=3.91, b=0.0, c=0.0238, d=0.16)),
+        (Material("medium_dry_ground", a=9.0, b=0.0, c=0.01, d=1.0),
+         Material("concrete", a=9.0, b=0.0, c=0.0462, d=0.7822)),
+    ], ids=["custom-brick", "redefined-concrete-and-ground"])
+    def test_round_trip_of_a_scene_built_in_python(self, ground, material):
+        # the document's material table comes from the materials the scene uses
+        s = Scene(extent_m=(300.0, 300.0), altitudes_m=(30.0,), ground_material=ground,
+                  buildings=(Building(10, 10, 20, 30, 15, material),
+                             Building(100, 100, 5, 5, 5, BUILTIN_MATERIALS["wood"])),
+                  trees=(Tree(200, 200, trunk_radius=0.4),),
+                  towers=(Tower(id=1, x=50, y=50, array=ArrayConfig(elements=2)),))
+        assert load_scene(serialize_scene(s)) == s
+
+    def test_serialize_rejects_two_materials_of_one_name(self):
+        other = Material("concrete", a=9.0, b=0.0, c=0.0462, d=0.7822)
+        s = Scene(buildings=(Building(0, 0, 5, 5, 5, BUILTIN_MATERIALS["concrete"]),
+                             Building(10, 10, 5, 5, 5, other)))
+        with pytest.raises(ValueError, match="two different materials are named 'concrete'"):
+            serialize_scene(s)
