@@ -1,6 +1,8 @@
 """Command-line pipeline: scene -> coverage / rank grids -> correlation fit ->
 interpolation and evaluation.  Stages chain through files in the output
-directory so each one is independently runnable and resumable.
+directory so each one is independently runnable and resumable.  Each stage
+returns its artifacts; main writes them, so a stage that fails leaves no
+output directory behind.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
@@ -17,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .channel import DEFAULT_THRESHOLD_RATIOS
 from .correlation import (
+    DEFAULT_MAX_DISTANCE_M,
     CorrelationModel,
     bin_correlations,
     bins_to_csv,
@@ -25,6 +29,7 @@ from .correlation import (
     fit_correlation_model,
 )
 from .covermap import (
+    JOINT,
     cdf_to_csv,
     compute_coverage,
     compute_rank_grid,
@@ -45,7 +50,7 @@ from .evaluate import (
 )
 from .kriging import KrigingConfig
 from .scene import Scene, check_layer_axis, grid_shape, load_scene
-from .synth import check_field_cells, synthetic_grid_positions, synthetic_rank_field
+from .synth import synthetic_grid_positions, synthetic_rank_field
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -54,21 +59,14 @@ EXIT_NUMERICAL = 3
 DEFAULT_RSS_ALTITUDES = (30.0, 70.0, 110.0)
 
 
-class InputError(Exception):
-    pass
-
-
 def _read_scene(path: str) -> Scene:
     p = Path(path)
     if not p.is_file():
-        raise InputError(f"scene file not found: {path}")
-    return load_scene(p.read_text())
-
-
-def _out_dir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        raise ValueError(f"scene file not found: {path}")
+    scene = load_scene(p.read_text())
+    if not scene.towers:
+        raise ValueError("scene has no towers")
+    return scene
 
 
 def _parse_floats(text: str, option: str) -> tuple[float, ...]:
@@ -79,43 +77,33 @@ def _parse_floats(text: str, option: str) -> tuple[float, ...]:
     return values
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args) -> dict:
     scene = _read_scene(args.scene)
-    if not scene.towers:
-        raise InputError("scene has no towers")
     altitudes = (_parse_floats(args.altitudes, "--altitudes") if args.altitudes
                  else DEFAULT_RSS_ALTITUDES)
-    out = _out_dir(args.out)
+    nx, ny = grid_shape(scene)
     artifacts = {}
     for h in altitudes:
         grids = [
             compute_coverage(scene, t, h, mode=args.mode)
             for t in sorted(scene.towers, key=lambda t: t.id)
         ]
-        nx, ny = grid_shape(scene)
+        if args.joint:
+            grids.append(joint_coverage(grids, scene))
         for g in grids:
-            stem = f"coverage_{args.mode.lower()}_tower{g.tower_id}_h{h:g}"
+            who = "joint" if g.tower_id == JOINT else f"tower{g.tower_id}"
+            stem = f"coverage_{args.mode.lower()}_{who}_h{h:g}"
             artifacts[f"{stem}.csv"] = grid_to_csv(g.positions, g.values)
             artifacts[f"{stem}.pgm"] = grid_to_pgm(g, nx, ny)
             artifacts[f"{stem}_cdf.csv"] = cdf_to_csv(*rss_cdf(g))
-        if args.joint:
-            j = joint_coverage(grids, scene)
-            stem = f"coverage_{args.mode.lower()}_joint_h{h:g}"
-            artifacts[f"{stem}.csv"] = grid_to_csv(j.positions, j.values)
-            artifacts[f"{stem}.pgm"] = grid_to_pgm(j, nx, ny)
-            artifacts[f"{stem}_cdf.csv"] = cdf_to_csv(*rss_cdf(j))
-    _write_all(out, artifacts)
-    return EXIT_OK
+    return artifacts
 
 
-def cmd_rank(args) -> int:
+def cmd_rank(args) -> dict:
     scene = _read_scene(args.scene)
-    if not scene.towers:
-        raise InputError("scene has no towers")
     altitudes = (_parse_floats(args.altitudes, "--altitudes") if args.altitudes
                  else scene.altitudes_m)
     thresholds = _parse_floats(args.thresholds, "--thresholds")
-    out = _out_dir(args.out)
     rg = compute_rank_grid(scene, thresholds=thresholds, altitudes_m=altitudes)
     artifacts = {"rank_grid.json": rank_grid_to_json(rg)}
     for h in altitudes:
@@ -123,78 +111,64 @@ def cmd_rank(args) -> int:
             stem = f"rank_h{h:g}_K{K:g}"
             artifacts[f"{stem}.csv"] = grid_to_csv(rg.positions, rg.layer(h, K))
             artifacts[f"{stem}_hist.csv"] = histogram_to_csv(rank_histogram(rg, h, K))
-    _write_all(out, artifacts)
-    return EXIT_OK
+    return artifacts
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> dict:
     if not 0 < args.max_dist < math.inf:
-        raise InputError(f"--max-dist must be finite and > 0, got {args.max_dist}")
+        raise ValueError(f"--max-dist must be finite and > 0, got {args.max_dist}")
     rg = _read_rank_grid(args.rank_grid)
-    out = _out_dir(args.out)
     idx, vectors = build_rank_vectors(rg, z_policy=args.z_policy)
     if len(idx) == 0:
-        raise InputError("no valid correlation pairs: all locations out of coverage")
+        raise ValueError("no valid correlation pairs: all locations out of coverage")
     d_rx = _grid_spacing(rg.positions)
     dists, means, counts = bin_correlations(
         vectors, rg.positions[idx], d_rx, max_distance_m=args.max_dist
     )
     if len(dists) < 4:
-        raise InputError("no valid correlation pairs: too few distance bins")
+        raise ValueError("no valid correlation pairs: too few distance bins")
     model = fit_correlation_model(dists, means, max_distance_m=args.max_dist)
-    _write_all(out, {
+    return {
         "correlation_bins.csv": bins_to_csv(dists, means, counts),
         "correlation_model.json": model.to_json(),
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_interpolate(args) -> int:
+def cmd_interpolate(args) -> dict:
     rg = _read_rank_grid(args.rank_grid)
     model_path = Path(args.model)
     if not model_path.is_file():
-        raise InputError(f"model file not found: {args.model}")
+        raise ValueError(f"model file not found: {args.model}")
     model = CorrelationModel.from_json(model_path.read_text())
     cfg = KrigingConfig(M=args.m, r0_m=args.r0)
-    out = _out_dir(args.out)
     methods = METHODS if args.method == "all" else (args.method,)
     tables = {}  # the methods' neighbor tables, built once per coverage mask
-    reports = [
-        loo_evaluate(rg, meth, cfg, model, round_estimates=args.round, tables=tables)
+    csvs = [
+        loo_evaluate(rg, meth, cfg, model, round_estimates=args.round, tables=tables).to_csv()
         for meth in methods
     ]
-    lines = ["method,altitude_m,K,mae,cells"]
-    for rep in reports:
-        lines.extend(rep.to_csv().splitlines()[1:])
-    _write_all(out, {"mae_report.csv": "\n".join(lines) + "\n"})
-    return EXIT_OK
+    # one table: the first report's header, then every report's rows
+    return {"mae_report.csv": csvs[0] + "".join(c.split("\n", 1)[1] for c in csvs[1:])}
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> dict:
     for p in (args.measured, args.simulated):
         if not Path(p).is_file():
-            raise InputError(f"trace file not found: {p}")
+            raise ValueError(f"trace file not found: {p}")
     measured = Trace.from_csv(Path(args.measured).read_text())
     simulated = Trace.from_csv(Path(args.simulated).read_text())
     offset, rmse = calibrate_offset(measured, simulated)
-    out = _out_dir(args.out)
-    _write_all(out, {
-        "calibration.csv": "offset_db,rmse\n" + f"{offset:.1f},{rmse:.9f}\n",
-    })
-    return EXIT_OK
+    return {"calibration.csv": "offset_db,rmse\n" + f"{offset:.1f},{rmse:.9f}\n"}
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
     thresholds = _parse_floats(args.thresholds, "--thresholds")
     altitudes = (_parse_floats(args.altitudes, "--altitudes") if args.altitudes
-                 else tuple(np.arange(30.0, 111.0, 10.0)))
+                 else Scene.altitudes_m)
     model = CorrelationModel(c1=0.2932, c2=-0.0508, c3=0.7057, c4=-0.001, rmse=0.0)
     positions = synthetic_grid_positions(args.nx, args.ny, args.spacing)
-    check_field_cells(len(positions))
-    out = _out_dir(args.out)
     rg = synthetic_rank_field(positions, model, altitudes, thresholds, seed=args.seed)
-    _write_all(out, {"rank_grid.json": rank_grid_to_json(rg)})
-    return EXIT_OK
+    return {"rank_grid.json": rank_grid_to_json(rg)}
 
 
 def _grid_spacing(positions: np.ndarray) -> float:
@@ -202,7 +176,7 @@ def _grid_spacing(positions: np.ndarray) -> float:
     ys = np.unique(positions[:, 1])
     deltas = np.concatenate([np.diff(xs), np.diff(ys)])
     if len(deltas) == 0:
-        raise InputError("degenerate grid: cannot infer spacing")
+        raise ValueError("degenerate grid: cannot infer spacing")
     return float(np.min(deltas))
 
 
@@ -211,16 +185,18 @@ def _read_rank_grid(path: str):
     if p.is_dir():
         p = p / "rank_grid.json"
     if not p.is_file():
-        raise InputError(f"rank grid artifact not found: {p}")
+        raise ValueError(f"rank grid artifact not found: {p}")
     return rank_grid_from_json(p.read_text())
 
 
 def _write_all(out: Path, artifacts: dict) -> None:
-    """Write every artifact or none: the files are written into a temporary
-    directory under `out` and only moved into place once all are written."""
+    """Create `out` if need be and write every artifact or none: the files are
+    written into a temporary directory under `out` and only moved into place
+    once all are written."""
     for name in artifacts:
         if (out / name).is_dir():
-            raise InputError(f"cannot write {out / name}: it is a directory")
+            raise ValueError(f"cannot write {out / name}: it is a directory")
+    out.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".partial-", dir=out))
     try:
         for name, content in artifacts.items():
@@ -241,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Kriging-based rank prediction",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    thresholds = ",".join(f"{k:g}" for k in DEFAULT_THRESHOLD_RATIOS)
 
     cov = sub.add_parser("coverage", help="RSS coverage grids, PGM heatmaps, CDFs")
     cov.add_argument("--scene", required=True)
@@ -254,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     rnk.add_argument("--scene", required=True)
     rnk.add_argument("--out", required=True)
     rnk.add_argument("--altitudes", help="comma-separated meters")
-    rnk.add_argument("--thresholds", default="10,100,1000")
+    rnk.add_argument("--thresholds", default=thresholds)
     rnk.set_defaults(func=cmd_rank)
 
     fit = sub.add_parser("fit", help="fit the correlation-vs-distance model")
     fit.add_argument("--rank-grid", required=True, help="rank grid artifact or dir")
     fit.add_argument("--out", required=True)
-    fit.add_argument("--max-dist", type=float, default=500.0)
+    fit.add_argument("--max-dist", type=float, default=DEFAULT_MAX_DISTANCE_M)
     fit.add_argument("--z-policy", choices=("exclude", "rank0"), default="exclude")
     fit.set_defaults(func=cmd_fit)
 
@@ -269,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     itp.add_argument("--model", required=True, help="correlation model JSON")
     itp.add_argument("--out", required=True)
     itp.add_argument("--method", choices=METHODS + ("all",), default="all")
-    itp.add_argument("--m", type=int, default=20)
-    itp.add_argument("--r0", type=float, default=150.0)
+    itp.add_argument("--m", type=int, default=KrigingConfig.M)
+    itp.add_argument("--r0", type=float, default=KrigingConfig.r0_m)
     itp.add_argument("--round", action="store_true", help="round estimates to ints")
     itp.set_defaults(func=cmd_interpolate)
 
@@ -287,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--ny", type=int, default=71)
     syn.add_argument("--spacing", type=float, default=30.0)
     syn.add_argument("--altitudes", help="comma-separated meters")
-    syn.add_argument("--thresholds", default="10,100,1000")
+    syn.add_argument("--thresholds", default=thresholds)
     syn.set_defaults(func=cmd_synth)
 
     return ap
@@ -302,8 +279,9 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, ValueError, OSError) as e:
+        _write_all(Path(args.out), args.func(args))
+        return EXIT_OK
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (np.linalg.LinAlgError, FloatingPointError) as e:

@@ -299,7 +299,7 @@ def _read(cls, obj: dict, where: str, materials=None, **given):
     fields as int (a fraction is rejected), arrays as the tuple of their
     values as given (an int stays an int, as artifacts copy them), a
     dataclass field as a nested object, and a Material as a name in
-    `materials`."""
+    `materials`.  `null` is no field's value."""
     kwargs = dict(given)
     for f, hint in _schema(cls):
         key = f.name
@@ -320,7 +320,9 @@ def _read(cls, obj: dict, where: str, materials=None, **given):
                 raise SceneError(f"{what} must be an integer, got {value!r}")
             kwargs[key] = hint(value)
         elif hint is str:
-            kwargs[key] = str(value)
+            if not isinstance(value, str):
+                raise SceneError(f"{what} must be a string, got {value!r}")
+            kwargs[key] = value
         elif typing.get_origin(hint) is tuple:
             args = typing.get_args(hint)
             length = None if args[-1] is Ellipsis else len(args)
@@ -329,7 +331,7 @@ def _read(cls, obj: dict, where: str, materials=None, **given):
                 raise SceneError(f"{what} must be an array of {size}numbers, got {value!r}")
             json_numbers(value, what, ndim=1)
             kwargs[key] = tuple(value)
-        elif value is not None:  # a nested object (a tower's array); null reads as absent
+        else:  # a nested object (a tower's array)
             if not isinstance(value, dict):
                 raise SceneError(f"{what} must be a JSON object")
             kwargs[key] = _read(hint, value, where)

@@ -26,14 +26,6 @@ def synthetic_grid_positions(nx: int, ny: int, spacing_m: float) -> np.ndarray:
     return grid_positions(s)
 
 
-def check_field_cells(n: int) -> None:
-    """Raise ValueError if a synthetic field of n cells exceeds MAX_FIELD_CELLS."""
-    if n > MAX_FIELD_CELLS:
-        raise ValueError(f"synthetic field of {n} cells exceeds the "
-                         f"{MAX_FIELD_CELLS}-cell limit of the dense matrices "
-                         f"that fit builds")
-
-
 def _grid_axes(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(xs, ys) of positions laid out row-major, as synthetic_grid_positions
     lays them out: x runs fastest, then y steps by equal amounts."""
@@ -79,9 +71,13 @@ def correlated_field_factor(positions: np.ndarray, model: CorrelationModel,
     dense Cholesky: each step turns the generator into the next block column
     of L by one (2nx x 2nx) hyperbolic transform, and that column is applied
     to the normals at once, so neither the covariance nor L is formed. With
-    one x-row, L is numpy's Cholesky factor of T_0.
+    one x-row, L is numpy's Cholesky factor of T_0.  ValueError on more
+    than MAX_FIELD_CELLS positions.
     """
-    check_field_cells(len(positions))
+    if len(positions) > MAX_FIELD_CELLS:
+        raise ValueError(f"synthetic field of {len(positions)} cells exceeds the "
+                         f"{MAX_FIELD_CELLS}-cell limit of the dense matrices "
+                         f"that fit builds")
     xs, ys = _grid_axes(positions)
     nx, ny = len(xs), len(ys)
     w = np.asarray(normals, dtype=float).T

@@ -287,7 +287,7 @@ class TestSynthFitInterpolate:
         out = tmp_path / "fit"
         rc = main(["fit", "--rank-grid", str(gpath), "--out", str(out)])
         assert rc == EXIT_INPUT
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_missing_model_is_input_error(self, tmp_path):
         synth_out = tmp_path / "synth"
@@ -476,6 +476,13 @@ class TestMalformedArtifacts:
          "towers[0] field 'x' must be a number, got False"),
         ({"extent_m": [True, 100.0], "towers": []},
          "scene field 'extent_m' must hold numbers in a 1-d array, got True"),
+        # a material's name is a JSON string, not anything str() can print
+        ({"materials": [{"name": None, "a": 2, "b": 0, "c": 0.1, "d": 1}],
+          "ground_material": "None", "towers": [{"id": 1, "x": 0, "y": 0}]},
+         "materials[0] field 'name' must be a string, got None"),
+        # null is no field's value, a nested object's included
+        ({"towers": [{"id": 1, "x": 0, "y": 0, "array": None}]},
+         "towers[0] field 'array' must be a JSON object"),
     ])
     def test_scene_field_types(self, tmp_path, capsys, doc, text):
         bad = tmp_path / "scene.json"
@@ -563,7 +570,7 @@ class TestMalformedArtifacts:
         out = tmp_path / "o"
         rc = main(["rank", "--scene", str(bad), "--out", str(out)])
         self._assert_input_error(rc, capsys, text)
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_synth_grid_over_the_cell_limit(self, tmp_path, capsys):
         # fit would build dense 191 GiB matrices on a 400 x 400 field
@@ -572,6 +579,38 @@ class TestMalformedArtifacts:
         self._assert_input_error(rc, capsys, "synthetic field of 160000 cells exceeds "
                                  "the 8192-cell limit")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("stage", ["fit", "kriging", "rank", "coverage", "synth",
+                                       "calibrate"])
+    def test_failed_stage_creates_no_out(self, small_grid, tmp_path, capsys, stage):
+        # each stage fails only once its inputs are read and its work begun
+        one_layer = tmp_path / "one_layer"
+        assert main(["synth", "--out", str(one_layer), "--nx", "4", "--ny", "4",
+                     "--altitudes", "30", "--thresholds", "10"]) == EXIT_OK
+        # a tower on the grid point (0, 0) at the receiver altitude
+        scene = tmp_path / "scene.json"
+        scene.write_text(json.dumps({"extent_m": [60, 60], "altitudes_m": [30],
+                                     "towers": [{"id": 1, "x": 0, "y": 0, "height": 30}]}))
+        (tmp_path / "meas.csv").write_text("t_s,x_m,y_m,z_m,rss_dbm\n0,0,0,30,-60\n")
+        (tmp_path / "sim.csv").write_text("t_s,x_m,y_m,z_m,rank\n0,0,0,30,2\n")
+        argv, text = {
+            "fit": (["fit", "--rank-grid", str(one_layer)], "too few distance bins"),
+            "kriging": (["interpolate", "--rank-grid", str(one_layer), "--model",
+                         str(small_grid / "correlation_model.json"), "--method", "kriging"],
+                        "Kriging needs at least 2 altitudes, got 1"),
+            "rank": (["rank", "--scene", str(scene)], "tx and rx must be distinct points"),
+            "coverage": (["coverage", "--scene", str(scene), "--altitudes", "30"],
+                         "tx and rx must be distinct points"),
+            "synth": (["synth", "--nx", "100", "--ny", "100"],
+                      "synthetic field of 10000 cells exceeds the 8192-cell limit"),
+            "calibrate": (["calibrate", "--measured", str(tmp_path / "meas.csv"),
+                           "--simulated", str(tmp_path / "sim.csv")],
+                          "cannot calibrate a 'rss_dbm' trace against a 'rank' trace"),
+        }[stage]
+        out = tmp_path / "o"
+        rc = main(argv + ["--out", str(out)])
+        self._assert_input_error(rc, capsys, text)
+        assert not out.exists()
 
     @pytest.mark.parametrize("loader", ["scene", "rank grid", "correlation model"])
     def test_deeply_nested_json(self, small_grid, tmp_path, capsys, loader):
