@@ -59,11 +59,16 @@ EXIT_NUMERICAL = 3
 DEFAULT_RSS_ALTITUDES = (30.0, 70.0, 110.0)
 
 
-def _read_scene(path: str) -> Scene:
+def _read_text(path, what: str) -> str:
+    """The text of the input file at `path`, which the error names `what`."""
     p = Path(path)
     if not p.is_file():
-        raise ValueError(f"scene file not found: {path}")
-    scene = load_scene(p.read_text())
+        raise ValueError(f"{what} not found: {path}")
+    return p.read_text()
+
+
+def _read_scene(path: str) -> Scene:
+    scene = load_scene(_read_text(path, "scene file"))
     if not scene.towers:
         raise ValueError("scene has no towers")
     return scene
@@ -136,10 +141,7 @@ def cmd_fit(args) -> dict:
 
 def cmd_interpolate(args) -> dict:
     rg = _read_rank_grid(args.rank_grid)
-    model_path = Path(args.model)
-    if not model_path.is_file():
-        raise ValueError(f"model file not found: {args.model}")
-    model = CorrelationModel.from_json(model_path.read_text())
+    model = CorrelationModel.from_json(_read_text(args.model, "model file"))
     cfg = KrigingConfig(M=args.m, r0_m=args.r0)
     methods = METHODS if args.method == "all" else (args.method,)
     tables = {}  # the methods' neighbor tables, built once per coverage mask
@@ -152,12 +154,8 @@ def cmd_interpolate(args) -> dict:
 
 
 def cmd_calibrate(args) -> dict:
-    for p in (args.measured, args.simulated):
-        if not Path(p).is_file():
-            raise ValueError(f"trace file not found: {p}")
-    measured = Trace.from_csv(Path(args.measured).read_text())
-    simulated = Trace.from_csv(Path(args.simulated).read_text())
-    offset, rmse = calibrate_offset(measured, simulated)
+    texts = [_read_text(p, "trace file") for p in (args.measured, args.simulated)]
+    offset, rmse = calibrate_offset(*map(Trace.from_csv, texts))
     return {"calibration.csv": "offset_db,rmse\n" + f"{offset:.1f},{rmse:.9f}\n"}
 
 
@@ -184,9 +182,7 @@ def _read_rank_grid(path: str):
     p = Path(path)
     if p.is_dir():
         p = p / "rank_grid.json"
-    if not p.is_file():
-        raise ValueError(f"rank grid artifact not found: {p}")
-    return rank_grid_from_json(p.read_text())
+    return rank_grid_from_json(_read_text(p, "rank grid artifact"))
 
 
 def _write_all(out: Path, artifacts: dict) -> None:

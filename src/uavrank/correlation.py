@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,31 +35,21 @@ class CorrelationModel:
         return evaluate_model((self.c1, self.c2, self.c3, self.c4), distance_m)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "c1": self.c1,
-                "c2": self.c2,
-                "c3": self.c3,
-                "c4": self.c4,
-                "rmse": self.rmse,
-                "max_distance_m": self.max_distance_m,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CorrelationModel":
+        """The model of a JSON object whose keys are the field names: a key
+        it lacks takes the field's default, or is an error without one."""
         d = parse_json(text, "correlation model")
-        if not isinstance(d, dict):
-            raise ValueError("correlation model must be a JSON object")
-        d = {"max_distance_m": DEFAULT_MAX_DISTANCE_M, **d}
-        fields = {}
-        for key in ("c1", "c2", "c3", "c4", "rmse", "max_distance_m"):
-            if key not in d:
-                raise ValueError(f"correlation model missing key {key!r}")
-            fields[key] = float(json_numbers(d[key], f"correlation model key {key!r}"))
-        return cls(**fields)
+        values = {}
+        for f in fields(cls):
+            if f.name in d:
+                what = f"correlation model key {f.name!r}"
+                values[f.name] = float(json_numbers(d[f.name], what))
+            elif f.default is MISSING:
+                raise ValueError(f"correlation model missing key {f.name!r}")
+        return cls(**values)
 
 
 def evaluate_model(coeffs, distance_m):
@@ -128,6 +118,11 @@ def bin_correlations(vectors, positions, d_rx: float,
     phi = corr[keep]
 
     bins = np.round(d / d_rx).astype(int)
+    # bincount builds one entry per bin up to the largest: refuse a spacing
+    # so fine for these positions that the bins would outnumber the pairs
+    if bins.max() >= len(bins):
+        raise ValueError(f"{len(bins)} correlation pairs span {bins.max() + 1} distance "
+                         f"bins of {d_rx:g} m: the spacing is too fine for these positions")
     sums = np.bincount(bins, weights=phi)
     counts = np.bincount(bins)
     present = counts > 0

@@ -215,8 +215,6 @@ def rank_grid_to_json(rg: RankGrid) -> str:
 
 def rank_grid_from_json(text: str) -> RankGrid:
     d = parse_json(text, "rank grid")
-    if not isinstance(d, dict):
-        raise ValueError("rank grid must be a JSON object")
     # integer fields are read as floats: a fraction is rejected, not truncated
     a = {}
     for name, ndim in (("positions", 2), ("altitudes_m", 1), ("thresholds", 1),

@@ -234,8 +234,9 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
     est = np.full((len(layers), len(nt.targets)), np.nan)
     has = nt.count > 0
     # the nearest neighbor: the estimate of one neighbor, of v2 == 0 (all
-    # neighbor stacks constant) and of every other fallback
-    est[:, has] = layers[:, nt.index[has, 0]]
+    # neighbor stacks constant) and of every other fallback; a table of fewer
+    # than two targets has no column to take it from
+    est[:, has] = layers[:, nt.index[has, :1].ravel()]
     for m in np.unique(nt.count[nt.count >= 2]):
         rows = np.flatnonzero(nt.count == m)
         nb = nt.index[rows, :m]

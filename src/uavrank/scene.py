@@ -356,23 +356,24 @@ def _objects(doc: dict, key: str) -> list[dict]:
     return items
 
 
-def parse_json(text: str, what: str):
-    """json.loads(text) for a document from outside, with malformed JSON and
-    JSON nested deeper than the parser can recurse raised as SceneError
-    naming `what`."""
+def parse_json(text: str, what: str) -> dict:
+    """The JSON object of a document from outside: malformed JSON, JSON
+    nested deeper than the parser can recurse and any other top-level value
+    are raised as SceneError naming `what`."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SceneError(f"{what} parse error at line {e.lineno}: {e.msg}") from e
     except RecursionError:
         raise SceneError(f"{what} is nested too deeply to parse") from None
+    if not isinstance(doc, dict):
+        raise SceneError(f"{what} must be a JSON object")
+    return doc
 
 
 def load_scene(text: str) -> Scene:
     """Parse and validate a JSON scene document."""
     doc = parse_json(text, "scene")
-    if not isinstance(doc, dict):
-        raise SceneError("scene document must be a JSON object")
     materials = dict(BUILTIN_MATERIALS)
     for i, obj in enumerate(_objects(doc, "materials")):
         m = _read(Material, obj, f"materials[{i}]")

@@ -54,11 +54,6 @@ class TestCoverage:
         assert rc == EXIT_OK
         assert (out / "coverage_mimo_tower1_h30.csv").is_file()
 
-    def test_missing_scene_is_input_error(self, tmp_path):
-        rc = main(["coverage", "--scene", str(tmp_path / "nope.json"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == EXIT_INPUT
-
     def test_malformed_scene_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -289,14 +284,16 @@ class TestSynthFitInterpolate:
         assert rc == EXIT_INPUT
         assert not out.exists()
 
-    def test_missing_model_is_input_error(self, tmp_path):
-        synth_out = tmp_path / "synth"
-        main(["synth", "--out", str(synth_out), "--nx", "5", "--ny", "5",
-              "--spacing", "30"])
-        rc = main(["interpolate", "--rank-grid", str(synth_out),
-                   "--model", str(tmp_path / "none.json"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == EXIT_INPUT
+    def test_interpolate_lone_in_coverage_cell(self, small_grid, tmp_path):
+        # the one cell has no neighbor: every layer reports NaN over 0 cells
+        grid = tmp_path / "lone"
+        assert main(["synth", "--out", str(grid), "--nx", "1", "--ny", "1",
+                     "--altitudes", "30,70", "--thresholds", "10"]) == EXIT_OK
+        out = tmp_path / "itp"
+        assert main(["interpolate", "--rank-grid", str(grid), "--model",
+                     str(small_grid / "correlation_model.json"), "--out", str(out)]) == EXIT_OK
+        rows = (out / "mae_report.csv").read_text().splitlines()
+        assert rows[1:] == [f"{m},{h},10,nan,0" for m in METHODS for h in (30, 70)]
 
 
 class TestCalibrate:
@@ -321,12 +318,6 @@ class TestCalibrate:
         line = (out / "calibration.csv").read_text().splitlines()[1]
         offset = float(line.split(",")[0])
         assert offset == pytest.approx(7.7, abs=1e-9)
-
-    def test_missing_trace_is_input_error(self, tmp_path):
-        rc = main(["calibrate", "--measured", str(tmp_path / "nope.csv"),
-                   "--simulated", str(tmp_path / "nope2.csv"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == EXIT_INPUT
 
 
 def _float_options():
@@ -614,17 +605,56 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("loader", ["scene", "rank grid", "correlation model"])
     def test_deeply_nested_json(self, small_grid, tmp_path, capsys, loader):
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 100000 + "]" * 100000)
+        doc = tmp_path / "doc.json"
         argv = {
-            "scene": ["rank", "--scene", str(deep)],
-            "rank grid": ["fit", "--rank-grid", str(deep)],
+            "scene": ["rank", "--scene", str(doc)],
+            "rank grid": ["fit", "--rank-grid", str(doc)],
             "correlation model": ["interpolate", "--rank-grid", str(small_grid),
-                                  "--model", str(deep)],
+                                  "--model", str(doc)],
         }[loader]
-        rc = main(argv + ["--out", str(tmp_path / "o")])
-        self._assert_input_error(rc, capsys, f"{loader} is nested too deeply to parse")
-        assert not (tmp_path / "o").exists()
+        for text, error in [("[" * 100000 + "]" * 100000, "is nested too deeply to parse"),
+                            ("[]", "must be a JSON object")]:
+            doc.write_text(text)
+            rc = main(argv + ["--out", str(tmp_path / "o")])
+            self._assert_input_error(rc, capsys, f"{loader} {error}")
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["scene", "rank grid file", "rank grid dir",
+                                       "model", "trace"])
+    def test_missing_input_file(self, small_grid, tmp_path, capsys, source):
+        missing = tmp_path / "missing"
+        argv, text = {
+            "scene": (["coverage", "--scene", str(missing)],
+                      f"scene file not found: {missing}"),
+            "rank grid file": (["fit", "--rank-grid", str(missing)],
+                               f"rank grid artifact not found: {missing}"),
+            "rank grid dir": (["fit", "--rank-grid", str(tmp_path)],
+                              f"rank grid artifact not found: {tmp_path / 'rank_grid.json'}"),
+            "model": (["interpolate", "--rank-grid", str(small_grid), "--model", str(missing)],
+                      f"model file not found: {missing}"),
+            # both traces are read before either is parsed: the measured one,
+            # not a trace, is not reported
+            "trace": (["calibrate", "--measured", str(small_grid / "correlation_bins.csv"),
+                       "--simulated", str(missing)], f"trace file not found: {missing}"),
+        }[source]
+        out = tmp_path / "o"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {text}\n"
+        assert not out.exists()
+
+    def test_fit_off_grid_positions(self, tmp_path, capsys):
+        # one x coordinate 1e-9 m off the 30 m grid makes the inferred spacing
+        # 1e-9 m: the pairs would fill about 5e11 distance bins
+        grid = tmp_path / "grid"
+        assert main(["synth", "--out", str(grid), "--nx", "10", "--ny", "10"]) == EXIT_OK
+        doc = json.loads((grid / "rank_grid.json").read_text())
+        doc["positions"][0][0] += 1e-9
+        (grid / "rank_grid.json").write_text(json.dumps(doc))
+        out = tmp_path / "fit"
+        rc = main(["fit", "--rank-grid", str(grid), "--out", str(out)])
+        self._assert_input_error(rc, capsys, "distance bins of 1e-09 m: the spacing is too fine")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, text", [
         (["synth", "--altitudes", "30,30"], "--altitudes must be > 0 and strictly increasing"),

@@ -132,6 +132,16 @@ class TestBinning:
         assert np.allclose(dists, [0.0])
         assert list(counts) == [1]
 
+    def test_bins_never_outnumber_pairs(self):
+        # a 1 x 5 line: its 15 pairs fill the bins 0, 30, ..., 120 m
+        vectors = np.random.default_rng(0).uniform(1.0, 4.0, size=(5, 6))
+        positions = np.column_stack([30.0 * np.arange(5), np.zeros(5)])
+        dists, _, counts = bin_correlations(vectors, positions, 30.0)
+        assert np.allclose(dists, 30.0 * np.arange(5)) and counts.sum() == 15
+        # a spacing of 1 mm would need 120001 bins for the same 15 pairs
+        with pytest.raises(ValueError, match="15 correlation pairs span 120001 distance bins"):
+            bin_correlations(vectors, positions, 1e-3)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             bin_correlations(np.ones((2, 3)), np.zeros((3, 2)), 30.0)

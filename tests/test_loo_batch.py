@@ -208,6 +208,17 @@ class TestBatchEqualsOracle:
             assert _solve_outcomes(rg, cfg, OVERFLOWING)["non-finite"] > 0
             _assert_batch_equals_oracle(rg, cfg, OVERFLOWING)
 
+    @pytest.mark.parametrize("n_valid", [0, 1])
+    def test_layer_with_fewer_than_two_in_coverage_cells(self, n_valid):
+        # the layer's neighbor table has no columns: its one cell, if any, is
+        # skipped, and the layer reports NaN over 0 cells
+        rg = _grid(4, 3, seed=13)
+        rg.ranks[0, 0, n_valid:] = Z_RANK
+        _assert_batch_equals_oracle(rg, KrigingConfig())
+        for method in METHODS:
+            m, n = loo_evaluate(rg, method, KrigingConfig(), MODEL).entries[30.0, 10.0]
+            assert np.isnan(m) and n == 0
+
     def test_r0_below_spacing_skips_everything(self):
         rg = _grid(6, 4, seed=9)
         _assert_batch_equals_oracle(rg, KrigingConfig(M=20, r0_m=20.0))

@@ -185,6 +185,27 @@ class TestRankField:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_nothing_drawn_over_the_cell_limit(self, monkeypatch):
+        drawn = []
+        default_rng = np.random.default_rng
+
+        class SpyGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, size):
+                drawn.append(size)
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(np.random, "default_rng", SpyGenerator)
+        over = synthetic_grid_positions(MAX_FIELD_CELLS + 1, 1, 30.0)
+        with pytest.raises(ValueError, match="8193 cells exceeds the 8192-cell limit"):
+            synthetic_rank_field(over, MODEL, ALTITUDES, THRESHOLDS, seed=0)
+        assert drawn == []
+        # under the limit the spy sees the field's one draw
+        synthetic_rank_field(self.POS, MODEL, ALTITUDES, THRESHOLDS, seed=0)
+        assert drawn == [(len(ALTITUDES) + 1, len(self.POS))]
+
 
 @pytest.fixture(scope="module")
 def dense_factor():
