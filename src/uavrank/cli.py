@@ -50,7 +50,7 @@ from .evaluate import (
 )
 from .kriging import KrigingConfig
 from .scene import Scene, check_layer_axis, grid_shape, load_scene
-from .synth import synthetic_grid_positions, synthetic_rank_field
+from .synth import check_field_cells, synthetic_grid_positions, synthetic_rank_field
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -164,6 +164,9 @@ def cmd_synth(args) -> dict:
     altitudes = (_parse_floats(args.altitudes, "--altitudes") if args.altitudes
                  else Scene.altitudes_m)
     model = CorrelationModel(c1=0.2932, c2=-0.0508, c3=0.7057, c4=-0.001, rmse=0.0)
+    # before the positions are built, so a refused grid allocates nothing; a
+    # side below 1 has no cells, and the scene reports it
+    check_field_cells(max(args.nx, 0) * max(args.ny, 0))
     positions = synthetic_grid_positions(args.nx, args.ny, args.spacing)
     rg = synthetic_rank_field(positions, model, altitudes, thresholds, seed=args.seed)
     return {"rank_grid.json": rank_grid_to_json(rg)}

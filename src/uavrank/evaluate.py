@@ -42,11 +42,9 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
     Only the layers at `altitudes_m` x `thresholds` (default: all) are
     evaluated.  Layers with the same coverage share one neighbor search and
     are predicted in one batched pass: the baselines of all of them take one
-    kernel call per neighbor count, and Kriging solves each distinct system
-    once per threshold: its weights depend on the threshold's altitude stacks
-    but not on the altitude of the layer, and targets whose systems are built
-    from the same bytes share them.  Every estimate equals the per-cell
-    _predict_one.
+    kernel call per neighbor count, and Kriging solves each distinct neighbor
+    geometry once for all of them, since its weights depend on nothing else.
+    Every estimate equals the per-cell _predict_one.
 
     `tables` maps valid-mask bytes to the neighbor table of that mask. It is
     filled in place, so calls that share one dict on the same grid and cfg
@@ -57,25 +55,25 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
     altitudes = tuple(altitudes_m) if altitudes_m is not None else rg.altitudes_m
     ks = tuple(thresholds) if thresholds is not None else rg.thresholds
     pos = rg.positions
-    # (valid-mask bytes, threshold index for Kriging) -> (mask, [(hi, ki)])
-    groups = {}
+    groups = {}  # valid-mask bytes -> (mask, [(hi, ki)])
     for h in altitudes:
         hi = rg.altitudes_m.index(h)
         for K in ks:
             ki = rg.thresholds.index(K)
             valid = rg.ranks[hi, ki] >= 0
-            key = (valid.tobytes(), ki if method == "kriging" else None)
-            groups.setdefault(key, (valid, []))[1].append((hi, ki))
+            groups.setdefault(valid.tobytes(), (valid, []))[1].append((hi, ki))
     if tables is None:
         tables = {}  # valid-mask bytes -> NeighborTable
     entries = {}
-    for (mask, ki), (valid, members) in groups.items():
+    for mask, (valid, members) in groups.items():
         nt = tables.get(mask)
         if nt is None:
             nt = tables[mask] = neighbor_table(pos, valid, cfg)
-        layers = rg.ranks[tuple(zip(*members))].astype(float)  # (L, n)
+        his, kis = zip(*members)
+        layers = rg.ranks[his, kis].astype(float)  # (L, n)
         if method == "kriging":
-            est = krige_table(nt, pos, layers, rg.ranks[:, ki, :].T, model)
+            stacks = rg.ranks[:, kis, :].transpose(1, 2, 0)  # (L, n, N_h)
+            est = krige_table(nt, pos, layers, stacks, model)
             done = nt.count >= 1
         else:
             est = baseline_table(nt, layers, method)

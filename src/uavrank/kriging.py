@@ -2,7 +2,10 @@
 
 Weights come from the Lagrange-augmented linear system built on the
 semi-variogram gamma(d) = v^2 * (1 - correlation(d)); they sum to 1 and make
-the interpolator exact at sampled locations.
+the interpolator exact at sampled locations.  The sill v^2 > 0 scales every
+variogram entry, which leaves the weights unchanged and scales only the
+Lagrange multiplier, so the system is solved with v^2 = 1 and v^2 decides
+only whether to solve at all: v^2 == 0 falls back to the nearest neighbor.
 """
 
 from __future__ import annotations
@@ -46,29 +49,29 @@ class KrigingSolution:
 
 
 def _variogram_system(sample_xy: np.ndarray, target_xy: np.ndarray,
-                      model: CorrelationModel, v2: float):
+                      model: CorrelationModel):
+    """The unit-sill Kriging system of one target: 1 - correlation, clamped
+    at 0, between the samples and from them to the target."""
     # scipy is imported on first use: the coverage and rank stages load this
     # module but never call it
     from scipy.spatial.distance import cdist
 
     m = len(sample_xy)
-    gam_ss = np.maximum(0.0, v2 * (1.0 - model(cdist(sample_xy, sample_xy))))
-    gam_ts = np.maximum(
-        0.0, v2 * (1.0 - model(np.linalg.norm(sample_xy - target_xy, axis=1)))
-    )
     a = np.ones((m + 1, m + 1))
-    a[:m, :m] = gam_ss
+    a[:m, :m] = np.maximum(0.0, 1.0 - model(cdist(sample_xy, sample_xy)))
     a[m, m] = 0.0
     b = np.ones(m + 1)
-    b[:m] = gam_ts
+    b[:m] = np.maximum(0.0, 1.0 - model(np.linalg.norm(sample_xy - target_xy, axis=1)))
     return a, b
 
 
 def solve_weights(samples, target, model: CorrelationModel, v2: float) -> KrigingSolution:
-    """Solve the Lagrange-augmented Kriging system for one target.
+    """Solve the Lagrange-augmented Kriging system of sill v2 for one target:
+    its weights are those of the unit-sill system, its multiplier v2 times
+    that system's.
 
-    On a singular system (duplicate samples or zero variance) falls back to a
-    unit weight on the nearest sample, flagged in the result.
+    On a singular system (duplicate samples) falls back to a unit weight on
+    the nearest sample, flagged in the result.
     """
     sample_xy = np.asarray(samples, dtype=float)
     target_xy = np.asarray(target, dtype=float)
@@ -77,12 +80,12 @@ def solve_weights(samples, target, model: CorrelationModel, v2: float) -> Krigin
     m = len(sample_xy)
     if m == 1:
         return KrigingSolution(np.array([1.0]), 0.0, np.nan)
-    a, b = _variogram_system(sample_xy, target_xy, model, v2)
+    a, b = _variogram_system(sample_xy, target_xy, model)
     fallback = False
     try:
         sol = np.linalg.solve(a, b)
         w = sol[:m]
-        lagrange = float(sol[m])
+        lagrange = v2 * float(sol[m])
         if not np.all(np.isfinite(w)) or abs(w.sum() - 1.0) > 1e-6:
             raise np.linalg.LinAlgError("ill-conditioned Kriging system")
     except np.linalg.LinAlgError:
@@ -120,8 +123,9 @@ def krige_rank(target, sample_xy, layer_values, altitude_stacks,
     `altitude_stacks` (n_samples, N_h) holds the ranks over all altitudes at
     the layer's threshold, from which the per-location variance is taken, so
     N_h must be at least 2.  The target's own variance is unknown at
-    prediction time, so the system uses the mean variance over the selected
-    neighbors.  Out-of-coverage samples are marked by negative layer values.
+    prediction time, so the sill v2 is the mean variance over the selected
+    neighbors; it decides only the fallback to the nearest neighbor when it
+    is 0.  Out-of-coverage samples are marked by negative layer values.
     """
     stacks = _altitude_stacks(altitude_stacks)
     sample_xy = np.asarray(sample_xy, dtype=float)
@@ -144,8 +148,8 @@ def krige_rank(target, sample_xy, layer_values, altitude_stacks,
 
 def _altitude_stacks(altitude_stacks) -> np.ndarray:
     stacks = np.asarray(altitude_stacks, dtype=float)
-    if stacks.shape[1] < 2:
-        raise ValueError(f"Kriging needs at least 2 altitudes, got {stacks.shape[1]}: "
+    if stacks.shape[-1] < 2:
+        raise ValueError(f"Kriging needs at least 2 altitudes, got {stacks.shape[-1]}: "
                          "the rank variance over altitude is undefined")
     return stacks
 
@@ -217,20 +221,21 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
     excluded, NaN where it has no neighbor.
 
     `layer_values` holds one row per layer, (L, n), for layers that share the
-    neighbor table and the altitude stacks; the estimates are (L, T).  The
-    weights do not depend on the layer, so they serve every layer.  Each
+    neighbor table, and `altitude_stacks` (L, n, N_h) the stacks of each
+    layer's threshold; the estimates are (L, T).  The weights depend only on
+    the geometry of a target's neighbors, so they serve every layer, and each
     distinct system is solved once: targets whose systems are built from the
-    same bytes (the distances between their neighbors, the distances to them
-    and v2) share its weights, and on a regular grid most systems repeat.
-    The distinct systems of targets with equally many neighbors are solved
-    together, with every arithmetic step in krige_rank's order so the
-    estimates are equal to its, fallbacks included.
+    same bytes (the distances between their neighbors and to them) share its
+    weights, and on a regular grid most systems repeat.  The distinct systems
+    of targets with equally many neighbors are solved together, with every
+    arithmetic step in krige_rank's order so the estimates are equal to its,
+    fallbacks included.
     """
     stacks = _altitude_stacks(altitude_stacks)
     sample_xy = np.asarray(sample_xy, dtype=float)
     layers = np.asarray(layer_values, dtype=float)
     # row by row, as krige_rank takes the variance of its neighbor rows
-    var = np.var(np.ascontiguousarray(stacks), axis=1, ddof=1)
+    var = np.var(np.ascontiguousarray(stacks), axis=-1, ddof=1)
     est = np.full((len(layers), len(nt.targets)), np.nan)
     has = nt.count > 0
     # the nearest neighbor: the estimate of one neighbor, of v2 == 0 (all
@@ -240,59 +245,47 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
     for m in np.unique(nt.count[nt.count >= 2]):
         rows = np.flatnonzero(nt.count == m)
         nb = nt.index[rows, :m]
-        v2 = np.mean(var[nb], axis=1)
-        solve = v2 != 0.0
-        rows, nb, v2 = rows[solve], nb[solve], v2[solve]
+        # v2 of each layer decides only whether its estimate takes the weights
+        solve = np.array([np.mean(v[nb], axis=1) != 0.0 for v in var])  # (L, R)
+        keep = solve.any(axis=0)
+        rows, nb, solve = rows[keep], nb[keep], solve[:, keep]
         xy, d_ts = sample_xy[nb], nt.dist[rows, :m]
-        system, first, geometry, geometry_first = _distinct_systems(xy, d_ts, v2)
+        system, first = _distinct_systems(xy, d_ts)
         block = max(1, _SOLVE_ENTRIES // (m + 1) ** 2)
-        # 1 - correlation between the neighbors, once per distinct geometry
-        g_ss = np.empty((len(geometry_first), m, m))
-        for lo in range(0, len(g_ss), block):
-            g_ss[lo:lo + block] = model(_pair_distances(xy[geometry_first[lo:lo + block]]))
-        np.subtract(1.0, g_ss, out=g_ss)
         w = np.empty((len(first), m))
         for lo in range(0, len(first), block):
             t = first[lo:lo + block]
-            w[lo:lo + block] = _solve_block(g_ss[geometry[lo:lo + block]], d_ts[t], model, v2[t])
+            w[lo:lo + block] = _solve_block(_pair_distances(xy[t]), d_ts[t], model)
         ok = (np.all(np.isfinite(w), axis=1) & ~(np.abs(w.sum(axis=1) - 1.0) > 1e-6))[system]
-        r, nb, w = rows[ok], nb[ok], w[system[ok], None, :]
-        for e, layer in zip(est, layers):
-            e[r] = np.matmul(w, layer[nb][:, :, None])[:, 0, 0]
+        for e, layer, use in zip(est, layers, solve & ok):
+            e[rows[use]] = np.matmul(w[system[use], None, :], layer[nb[use]][:, :, None])[:, 0, 0]
     return est
 
 
-def _distinct_systems(xy, d_ts, v2):
+def _distinct_systems(xy, d_ts):
     """The distinct Kriging systems of B targets with m neighbors each.
 
     A target's system is built from the distances between its neighbors
-    (computed from their positions xy, (B, m, 2)), the distances to them
-    (d_ts) and v2, elementwise, so targets whose inputs have equal bytes get
+    (computed from their positions xy, (B, m, 2)) and the distances to them
+    (d_ts), elementwise, so targets whose distances have equal bytes get
     equal weights.  Neither the neighbors' index offsets nor d_ts alone tell
     that: a sample 1 ulp off its grid point keeps both but changes distances
     between the neighbors.
 
-    Returns (system, first, geometry, geometry_first): the system of each
-    target, the first target and the geometry of each system, and the first
-    target of each geometry.
+    Returns (system, first): the system of each target and the first target
+    of each system.
     """
-    geometries = {}  # distance bytes -> geometry number
-    systems = {}  # (geometry number, v2 bits) -> system number
+    systems = {}  # distance bytes -> system number
     system = np.empty(len(xy), dtype=np.intp)
-    first, geometry, geometry_first = [], [], []
-    bits = v2.view(np.int64).tolist()
+    first = []
     block = max(1, _SOLVE_ENTRIES // xy.shape[1] ** 2)
     for lo in range(0, len(xy), block):
         pairs = zip(_pair_distances(xy[lo:lo + block]), d_ts[lo:lo + block])
         for t, (ss, ts) in enumerate(pairs, start=lo):
-            g = geometries.setdefault(ss.tobytes() + ts.tobytes(), len(geometries))
-            if g == len(geometry_first):
-                geometry_first.append(t)
-            s = system[t] = systems.setdefault((g, bits[t]), len(systems))
+            s = system[t] = systems.setdefault(ss.tobytes() + ts.tobytes(), len(systems))
             if s == len(first):
                 first.append(t)
-                geometry.append(g)
-    return system, *(np.array(a, dtype=np.intp) for a in (first, geometry, geometry_first))
+    return system, np.array(first, dtype=np.intp)
 
 
 def _pair_distances(xy) -> np.ndarray:
@@ -307,17 +300,16 @@ def _pair_distances(xy) -> np.ndarray:
     return np.sqrt(d_ss, out=d_ss)
 
 
-def _solve_block(g_ss, d_ts, model: CorrelationModel, v2) -> np.ndarray:
+def _solve_block(d_ss, d_ts, model: CorrelationModel) -> np.ndarray:
     """Kriging weights (B, m) of B stacked _variogram_system systems, from
-    1 - correlation between their samples (B, m, m), the distances to their
-    targets (B, m) and v2 (B,); a row is NaN where its system is singular."""
+    the distances between their samples (B, m, m) and to their targets
+    (B, m); a row is NaN where its system is singular."""
     b_n, m = d_ts.shape
-    gam = g_ss * v2[:, None, None]
     a = np.ones((b_n, m + 1, m + 1))
-    a[:, :m, :m] = np.maximum(0.0, gam, out=gam)
+    a[:, :m, :m] = np.maximum(0.0, 1.0 - model(d_ss))
     a[:, m, m] = 0.0
     b = np.ones((b_n, m + 1))
-    b[:, :m] = np.maximum(0.0, v2[:, None] * (1.0 - model(d_ts)))
+    b[:, :m] = np.maximum(0.0, 1.0 - model(d_ts))
     try:
         sol = np.linalg.solve(a, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:

@@ -20,7 +20,8 @@ from .scene import Scene, grid_positions
 MAX_FIELD_CELLS = 8192
 
 
-def _check_field_cells(n: int) -> None:
+def check_field_cells(n: int) -> None:
+    """ValueError if a field of n cells is over MAX_FIELD_CELLS."""
     if n > MAX_FIELD_CELLS:
         raise ValueError(f"synthetic field of {n} cells exceeds the "
                          f"{MAX_FIELD_CELLS}-cell limit of the dense matrices "
@@ -81,7 +82,7 @@ def correlated_field_factor(positions: np.ndarray, model: CorrelationModel,
     one x-row, L is numpy's Cholesky factor of T_0.  ValueError on more
     than MAX_FIELD_CELLS positions.
     """
-    _check_field_cells(len(positions))
+    check_field_cells(len(positions))
     xs, ys = _grid_axes(positions)
     nx, ny = len(xs), len(ys)
     w = np.asarray(normals, dtype=float).T
@@ -130,7 +131,7 @@ def synthetic_rank_field(positions: np.ndarray, model: CorrelationModel,
     altitudes = tuple(float(h) for h in altitudes_m)
     ks = tuple(float(k) for k in thresholds)
 
-    _check_field_cells(n_loc)  # before the normals are drawn
+    check_field_cells(n_loc)  # before the normals are drawn
     # one normal vector for the first layer and one innovation per layer,
     # drawn in the order the chain consumes them
     normals = np.random.default_rng(seed).standard_normal((len(altitudes) + 1, n_loc))

@@ -571,6 +571,22 @@ class TestMalformedArtifacts:
                                  "the 8192-cell limit")
         assert not (tmp_path / "o").exists()
 
+    def test_synth_over_the_cell_limit_builds_no_positions(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the cap is checked on nx * ny: a refused grid allocates nothing
+        def spy(*args):
+            raise AssertionError(f"positions built for {args}")
+
+        monkeypatch.setattr(cli, "synthetic_grid_positions", spy)
+        rc = main(["synth", "--nx", "2000", "--ny", "2000", "--out", str(tmp_path / "o")])
+        self._assert_input_error(rc, capsys, "synthetic field of 4000000 cells exceeds "
+                                 "the 8192-cell limit")
+        # a side below 1 has no cells: the scene refuses the extent
+        monkeypatch.undo()
+        rc = main(["synth", "--nx", "-100", "--ny", "-100", "--out", str(tmp_path / "o")])
+        self._assert_input_error(rc, capsys, "extent must be positive")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("stage", ["fit", "kriging", "rank", "coverage", "synth",
                                        "calibrate"])
     def test_failed_stage_creates_no_out(self, small_grid, tmp_path, capsys, stage):

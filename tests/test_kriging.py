@@ -52,35 +52,40 @@ class TestConfig:
 
 
 class TestSemivariogram:
-    """The variogram entries of the system that solve_weights solves."""
+    """The variogram entries of the unit-sill system that solve_weights solves."""
 
     def test_at_zero_distance(self):
-        # gamma(0) = v^2 * (1 - phi(0)); the model keeps a small nugget
+        # gamma(0) = 1 - phi(0); the model keeps a small nugget
         a, b = _variogram_system(np.array([[0.0, 0.0], [60.0, 0.0]]),
-                                 np.array([0.0, 0.0]), MODEL, 2.0)
-        assert a[0, 0] == a[1, 1] == pytest.approx(2.0 * (1.0 - 0.9989), abs=1e-12)
-        assert b[0] == pytest.approx(2.0 * (1.0 - 0.9989), abs=1e-12)
+                                 np.array([0.0, 0.0]), MODEL)
+        assert a[0, 0] == a[1, 1] == pytest.approx(1.0 - 0.9989, abs=1e-12)
+        assert b[0] == pytest.approx(1.0 - 0.9989, abs=1e-12)
 
     def test_uses_horizontal_distance(self):
         d = 120.0
         a, b = _variogram_system(np.array([[0.0, 0.0], [0.0, d]]),
-                                 np.array([d, 0.0]), MODEL, 1.0)
+                                 np.array([d, 0.0]), MODEL)
         assert a[0, 1] == a[1, 0] == pytest.approx(1.0 - MODEL(d), abs=1e-12)
         assert b[0] == pytest.approx(1.0 - MODEL(d), abs=1e-12)
 
     def test_clamped_at_zero(self):
-        # phi(d) > 1 up to ~11 m, where the raw gamma would be negative
+        # phi(d) > 1 up to ~11 m, where the raw gamma would be negative.  The
+        # sill v2 scales the whole system: the weights are the same bits for
+        # every v2, and the multiplier is that of the v2-scaled system
         inflated = CorrelationModel(0.6, -0.01, 0.6, -0.001, rmse=0.0)  # phi(0)=1.2
         samples = np.array([[0.0, 0.0], [5.0, 0.0], [60.0, 0.0]])
         target = np.array([2.0, 0.0])
         assert 1.0 - inflated(5.0) < 0.0
-        a, b = hand_built_system(inflated, 1.0, samples, target)
-        assert a[0, 1] == 0.0 and b[0] == 0.0
-        expected = np.linalg.solve(a, b)
-        sol = solve_weights(samples, target, inflated, 1.0)
-        assert not sol.fallback
-        assert np.allclose(sol.weights, expected[:3], atol=1e-10)
-        assert sol.lagrange == pytest.approx(expected[3], abs=1e-10)
+        unit = solve_weights(samples, target, inflated, 1.0)
+        for v2 in (0.1, 1.0, 1.3, 3.0):
+            a, b = hand_built_system(inflated, v2, samples, target)
+            assert a[0, 1] == 0.0 and b[0] == 0.0
+            expected = np.linalg.solve(a, b)
+            sol = solve_weights(samples, target, inflated, v2)
+            assert not sol.fallback
+            np.testing.assert_array_equal(sol.weights, unit.weights)
+            assert np.allclose(sol.weights, expected[:3], atol=1e-10)
+            assert sol.lagrange == pytest.approx(expected[3], abs=1e-10)
 
 
 class TestSolveWeights:

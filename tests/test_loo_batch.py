@@ -9,7 +9,7 @@ select_neighbors, krige_rank and baseline_rank for one cell.
 import numpy as np
 import pytest
 
-from uavrank import kriging
+from uavrank import evaluate, kriging
 from uavrank.baseline import baseline_rank, baseline_table
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import RankGrid, Z_RANK
@@ -76,7 +76,7 @@ def _solve_outcomes(rg, cfg, model):
         v2 = float(np.mean(np.var(stacks[nb], axis=1, ddof=1))) if len(nb) >= 2 else 0.0
         if v2 == 0.0:
             continue
-        a, b = _variogram_system(rg.positions[nb], rg.positions[i], model, v2)
+        a, b = _variogram_system(rg.positions[nb], rg.positions[i], model)
         try:
             w = np.linalg.solve(a, b)[:len(nb)]
         except np.linalg.LinAlgError:
@@ -98,7 +98,8 @@ def _assert_batch_equals_oracle(rg, cfg, model=MODEL, methods=METHODS):
         nt = neighbor_table(rg.positions, layer >= 0, cfg)
         for method in methods:
             if method == "kriging":
-                est = krige_table(nt, rg.positions, layer[None], rg.ranks[:, ki, :].T, model)[0]
+                est = krige_table(nt, rg.positions, layer[None], rg.ranks[:, ki, :].T[None],
+                                  model)[0]
             else:
                 est = baseline_table(nt, layer[None], method)[0]
             ref = oracle[hi, ki, method] = _oracle(rg, ki, layer, method, cfg, model)
@@ -288,11 +289,12 @@ class TestStackedLayers:
         for ki in range(len(rg.thresholds)):
             stacks = rg.ranks[:, ki, :].T
             layers = rg.ranks[:, ki, :].astype(float)
-            stacked = krige_table(nt, rg.positions, layers, stacks, model)
+            stacked = krige_table(nt, rg.positions, layers, np.broadcast_to(stacks, (4, 48, 4)),
+                                  model)
             assert stacked.shape == (4, 48)
             for layer, row in zip(layers, stacked):
                 np.testing.assert_array_equal(row, krige_table(nt, rg.positions, layer[None],
-                                                               stacks, model)[0])
+                                                               stacks[None], model)[0])
                 np.testing.assert_array_equal(row, _oracle(rg, ki, layer, "kriging", cfg, model))
 
     @pytest.mark.parametrize("method", METHODS)
@@ -330,20 +332,35 @@ def _geometry(pos, nt, t):
 
 def _assert_table_equals_krige_rank(pos, layer, stacks, cfg):
     nt = neighbor_table(pos, layer >= 0, cfg)
-    est = krige_table(nt, pos, layer[None], stacks, MODEL)[0]
+    est = krige_table(nt, pos, layer[None], stacks[None], MODEL)[0]
     ref = [krige_rank(pos[i], pos, layer, stacks, cfg, MODEL, exclude=int(i)).estimate
            for i in nt.targets]
     np.testing.assert_array_equal(est, ref)
 
 
+def _record_solves(monkeypatch):
+    """The bytes (distances between the neighbors and to them) of every
+    system that _solve_block solves from now on."""
+    solved = []
+    real = kriging._solve_block
+
+    def spy(d_ss, d_ts, model):
+        solved.extend(s.tobytes() + t.tobytes() for s, t in zip(d_ss, d_ts))
+        return real(d_ss, d_ts, model)
+
+    monkeypatch.setattr(kriging, "_solve_block", spy)
+    return solved
+
+
 class TestDistinctSystems:
     """krige_table solves each distinct system once and gives its weights to
     every target whose system is built from the same bytes: distances
-    between the neighbors, distances to them and v2."""
+    between the neighbors and distances to them."""
 
     def test_synth_loo_input_solves_few_systems_each_once(self, monkeypatch):
         # the synth-loo benchmark input: 36 x 71 cells at 30 m, 3 altitudes
-        # at one threshold; more than 2000 targets have a system to solve
+        # at one threshold; more than 2000 targets have a system to solve,
+        # over 28 neighbor geometries
         rg = synthetic_rank_field(synthetic_grid_positions(36, 71, 30.0), MODEL,
                                   (30.0, 70.0, 110.0), (100.0,), seed=0)
         valid = rg.ranks[0, 0] >= 0
@@ -351,18 +368,11 @@ class TestDistinctSystems:
         cfg = KrigingConfig()
         nt = neighbor_table(rg.positions, valid, cfg)
         assert np.sum(nt.count >= 2) > 2000
-        solved = []
-        real = kriging._solve_block
-
-        def spy(g_ss, d_ts, model, v2):
-            solved.extend(g.tobytes() + d.tobytes() + v.tobytes()
-                          for g, d, v in zip(g_ss, d_ts, v2))
-            return real(g_ss, d_ts, model, v2)
-
-        monkeypatch.setattr(kriging, "_solve_block", spy)
+        solved = _record_solves(monkeypatch)
         layers = rg.ranks[:, 0, :].astype(float)
-        est = krige_table(nt, rg.positions, layers, rg.ranks[:, 0, :].T, MODEL)
-        assert 0 < len(solved) <= 250
+        stacks = np.broadcast_to(rg.ranks[:, 0, :].T, (3, 2556, 3))  # (L, n, N_h)
+        est = krige_table(nt, rg.positions, layers, stacks, MODEL)
+        assert 0 < len(solved) <= 32
         assert len(set(solved)) == len(solved)
         # the layers share the weights: one layer against the oracle
         np.testing.assert_array_equal(est[0], _oracle(rg, 0, layers[0], "kriging", cfg, MODEL))
@@ -383,10 +393,11 @@ class TestDistinctSystems:
         layer = np.random.default_rng(18).uniform(1.0, 4.0, 49)
         _assert_table_equals_krige_rank(pos, layer, np.tile([0.0, 2.0], (49, 1)), cfg)
 
-    def test_v2_one_ulp_apart(self):
+    def test_geometry_shared_across_v2_solved_once(self, monkeypatch):
         # every stack has a variance of exactly 2 but one, whose variance of
         # 2 + 2**-48 moves v2 of the targets around it to the next float
-        # after 2; some of them share their geometry with targets of v2 == 2
+        # after 2; some of them share their geometry with targets of v2 == 2,
+        # and each geometry is solved once for both
         pos = _grid(7, 7).positions
         stacks = np.tile([0.0, 2.0], (49, 1))
         stacks[24, 1] = 2.0 + 2.0**-49
@@ -399,5 +410,44 @@ class TestDistinctSystems:
         for t in range(49):
             by_geometry.setdefault(_geometry(pos, nt, t), set()).add(v2[t])
         assert any(len(v) == 2 for v in by_geometry.values())
+        solved = _record_solves(monkeypatch)
         layer = np.random.default_rng(19).uniform(1.0, 4.0, 49)
         _assert_table_equals_krige_rank(pos, layer, stacks, cfg)
+        assert sorted(solved) == sorted(by_geometry)
+
+    def test_loo_thresholds_sharing_a_mask_solve_together(self, monkeypatch):
+        # every layer of three thresholds is in coverage everywhere: Kriging
+        # predicts all nine layers from one neighbor table, finding the
+        # distinct systems once per neighbor count, and every estimate is
+        # _predict_one's.  At the third threshold the southern half is
+        # constant over altitude, so targets there fall back to their nearest
+        # neighbor in that layer while the other layers solve their systems
+        rg = _grid(9, 7, n_h=3, n_k=3, seed=20)
+        rg.ranks[:, 2, :27] = rg.ranks[0, 2, :27]
+        cfg = KrigingConfig(M=20, r0_m=75.0)
+        nt = neighbor_table(rg.positions, np.ones(63, dtype=bool), cfg)
+        var = np.var(rg.ranks[:, 2, :].T.astype(float), axis=1, ddof=1)
+        assert any(np.mean(var[row[:c]]) == 0.0 for row, c in zip(nt.index, nt.count))
+        calls, tables = [], []
+        real_systems, real_table = kriging._distinct_systems, evaluate.krige_table
+
+        def systems_spy(xy, d_ts):
+            calls.append(xy.shape[1])
+            return real_systems(xy, d_ts)
+
+        def table_spy(nt, pos, layers, stacks, model):
+            est = real_table(nt, pos, layers, stacks, model)
+            tables.append(est)
+            return est
+
+        monkeypatch.setattr(kriging, "_distinct_systems", systems_spy)
+        monkeypatch.setattr(evaluate, "krige_table", table_spy)
+        rep = loo_evaluate(rg, "kriging", cfg, MODEL)
+        assert sorted(calls) == sorted(set(nt.count[nt.count >= 2].tolist()))
+        [est] = tables
+        assert est.shape == (9, 63)
+        # the layers in the order loo_evaluate groups them: altitude, then K
+        for row, (hi, ki, layer) in zip(est, _layers(rg)):
+            np.testing.assert_array_equal(row, _oracle(rg, ki, layer, "kriging", cfg, MODEL))
+            key = rg.altitudes_m[hi], rg.thresholds[ki]
+            assert rep.entries[key] == (float(np.mean(np.abs(layer - row))), 63)
