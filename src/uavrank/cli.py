@@ -4,7 +4,7 @@ directory so each one is independently runnable and resumable.  Each stage
 returns its artifacts; main writes them, so a stage that fails leaves no
 output directory behind.
 
-Exit codes: 0 success, 2 input error, 3 numerical failure.
+Exit codes: 0 success, 2 input error or out of memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -130,8 +130,6 @@ def cmd_fit(args) -> dict:
     dists, means, counts = bin_correlations(
         vectors, rg.positions[idx], d_rx, max_distance_m=args.max_dist
     )
-    if len(dists) < 4:
-        raise ValueError("no valid correlation pairs: too few distance bins")
     model = fit_correlation_model(dists, means, max_distance_m=args.max_dist)
     return {
         "correlation_bins.csv": bins_to_csv(dists, means, counts),
@@ -282,6 +280,10 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as e:
+        # an array the input asks for is larger than the process may allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -55,7 +55,11 @@ class CorrelationModel:
 def evaluate_model(coeffs, distance_m):
     c1, c2, c3, c4 = coeffs
     d = np.asarray(distance_m, dtype=float)
-    out = c1 * np.exp(c2 * d) + c3 * np.exp(c4 * d)
+    # a growing term (c2 or c4 > 0) overflows exp far out, and inf - inf is
+    # NaN; the fit rejects a trial step on such residuals, and Kriging takes
+    # a system with such entries as failed, so neither needs the warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = c1 * np.exp(c2 * d) + c3 * np.exp(c4 * d)
     return float(out) if out.ndim == 0 else out
 
 
@@ -140,15 +144,12 @@ def fit_biexponential(distances, means):
     d = np.asarray(distances, dtype=float)
     phi = np.asarray(means, dtype=float)
     if len(d) < 4:
-        raise ValueError(f"need at least 4 bins to fit, got {len(d)}")
+        raise ValueError(f"too few distance bins: need at least 4 to fit, got {len(d)}")
     phi0 = phi[np.argmin(d)]
     x0 = np.array([0.5 * phi0, -0.05, 0.5 * phi0, -0.001])
 
     def residuals(c):
-        # a trial step of the fit may overflow exp; least_squares rejects
-        # the step on its inf residuals
-        with np.errstate(over="ignore"):
-            return evaluate_model(c, d) - phi
+        return evaluate_model(c, d) - phi
 
     sol = least_squares(residuals, x0, method="lm", xtol=1e-14, ftol=1e-14,
                         gtol=1e-14, max_nfev=2500)

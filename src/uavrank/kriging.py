@@ -22,9 +22,9 @@ from .correlation import CorrelationModel
 # search.
 _TIE_SLACK = 8
 
-# Matrix entries of the Kriging systems built and solved together: 2**13
-# entries (64 kB) is 18 systems at M = 20; the temporaries of a block stay
-# near 0.5 MB, so LOO adds little to the peak memory of a small grid.
+# Matrix entries of a block of Kriging systems keyed or solved together:
+# 2**13 entries (64 kB) is 18 systems at M = 20; the temporaries of a block
+# stay below 1 MB, so LOO adds little to the peak memory of a small grid.
 _SOLVE_ENTRIES = 2**13
 
 
@@ -227,7 +227,7 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
     distinct system is solved once: targets whose systems are built from the
     same bytes (the distances between their neighbors and to them) share its
     weights, and on a regular grid most systems repeat.  The distinct systems
-    of targets with equally many neighbors are solved together, with every
+    of targets with equally many neighbors are solved stacked, with every
     arithmetic step in krige_rank's order so the estimates are equal to its,
     fallbacks included.
     """
@@ -249,43 +249,42 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
         solve = np.array([np.mean(v[nb], axis=1) != 0.0 for v in var])  # (L, R)
         keep = solve.any(axis=0)
         rows, nb, solve = rows[keep], nb[keep], solve[:, keep]
-        xy, d_ts = sample_xy[nb], nt.dist[rows, :m]
-        system, first = _distinct_systems(xy, d_ts)
-        block = max(1, _SOLVE_ENTRIES // (m + 1) ** 2)
-        w = np.empty((len(first), m))
-        for lo in range(0, len(first), block):
-            t = first[lo:lo + block]
-            w[lo:lo + block] = _solve_block(_pair_distances(xy[t]), d_ts[t], model)
+        system, w = _system_weights(sample_xy[nb], nt.dist[rows, :m], model)
         ok = (np.all(np.isfinite(w), axis=1) & ~(np.abs(w.sum(axis=1) - 1.0) > 1e-6))[system]
         for e, layer, use in zip(est, layers, solve & ok):
             e[rows[use]] = np.matmul(w[system[use], None, :], layer[nb[use]][:, :, None])[:, 0, 0]
     return est
 
 
-def _distinct_systems(xy, d_ts):
-    """The distinct Kriging systems of B targets with m neighbors each.
+def _system_weights(xy, d_ts, model: CorrelationModel):
+    """The distinct Kriging systems of B targets with m neighbors each and
+    their weights (S, m), NaN where singular, in one pass: returns (system,
+    w) with the system of each target.
 
     A target's system is built from the distances between its neighbors
-    (computed from their positions xy, (B, m, 2)) and the distances to them
-    (d_ts), elementwise, so targets whose distances have equal bytes get
-    equal weights.  Neither the neighbors' index offsets nor d_ts alone tell
-    that: a sample 1 ulp off its grid point keeps both but changes distances
-    between the neighbors.
-
-    Returns (system, first): the system of each target and the first target
-    of each system.
+    (from their positions xy, (B, m, 2)) and to them (d_ts), elementwise, so
+    targets whose distances have equal bytes get equal weights; neither the
+    neighbors' index offsets nor d_ts alone tell that (a sample 1 ulp off its
+    grid point keeps both).  Each target's distances are computed once, to
+    key it and, for a new system, to solve it.
     """
+    b_n, m = d_ts.shape
     systems = {}  # distance bytes -> system number
-    system = np.empty(len(xy), dtype=np.intp)
-    first = []
-    block = max(1, _SOLVE_ENTRIES // xy.shape[1] ** 2)
-    for lo in range(0, len(xy), block):
-        pairs = zip(_pair_distances(xy[lo:lo + block]), d_ts[lo:lo + block])
-        for t, (ss, ts) in enumerate(pairs, start=lo):
-            s = system[t] = systems.setdefault(ss.tobytes() + ts.tobytes(), len(systems))
-            if s == len(first):
-                first.append(t)
-    return system, np.array(first, dtype=np.intp)
+    system = np.empty(b_n, dtype=np.intp)
+    w = np.empty((b_n, m))  # no more systems than targets
+    block = max(1, _SOLVE_ENTRIES // (m + 1) ** 2)
+    n, new = 0, []  # systems solved so far; (d_ss, d_ts) of those pending
+    for lo in range(0, b_n, block):
+        d_ss, ts = _pair_distances(xy[lo:lo + block]), d_ts[lo:lo + block]
+        for t, ss, tt in zip(range(lo, b_n), d_ss, ts):
+            s = system[t] = systems.setdefault(ss.tobytes() + tt.tobytes(), len(systems))
+            if s == n + len(new):
+                new.append((ss, tt))
+        # one solve call per full stack of new systems; LAPACK solves each alone
+        if len(new) >= block or (new and lo + block >= b_n):
+            w[n:len(systems)] = _solve_block(*map(np.array, zip(*new)), model)
+            n, new = len(systems), []
+    return system, w[:n]
 
 
 def _pair_distances(xy) -> np.ndarray:

@@ -245,6 +245,29 @@ class TestSynthFitInterpolate:
   "rmse": 0.5099181925104749
 }"""
 
+    def test_interpolate_overflowing_model(self, tmp_path):
+        # both terms of this model grow: exp overflows beyond 0.9 m and inf -
+        # inf is NaN, so every Kriging system fails and falls back to the
+        # nearest neighbor, with warnings as errors too; the report is the
+        # one the CLI wrote when it let the warnings through
+        synth_out, model = tmp_path / "synth", tmp_path / "model.json"
+        assert main(["synth", "--out", str(synth_out), "--seed", "0", "--nx", "10",
+                     "--ny", "10", "--altitudes", "30,70", "--thresholds", "10"]) == EXIT_OK
+        model.write_text('{"c1": 1, "c2": 800, "c3": -1, "c4": 800, "rmse": 0}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["interpolate", "--rank-grid", str(synth_out), "--model", str(model),
+                         "--out", str(tmp_path / "itp")]) == EXIT_OK
+        assert (tmp_path / "itp" / "mae_report.csv").read_text() == """\
+method,altitude_m,K,mae,cells
+kriging,30,10,0.600000000,100
+kriging,70,10,0.710000000,100
+spline,30,10,0.706883009,100
+spline,70,10,0.815389937,100
+makima,30,10,0.586460425,100
+makima,70,10,0.612045391,100
+"""
+
     def test_interpolate_huge_m(self, tmp_path):
         # no row holds more than n - 1 neighbors, so M past that changes nothing
         synth_out = tmp_path / "synth"
@@ -670,6 +693,19 @@ class TestMalformedArtifacts:
         out = tmp_path / "fit"
         rc = main(["fit", "--rank-grid", str(grid), "--out", str(out)])
         self._assert_input_error(rc, capsys, "distance bins of 1e-09 m: the spacing is too fine")
+        assert not out.exists()
+
+    def test_out_of_memory_is_one_line(self, small_grid, tmp_path, capsys, monkeypatch):
+        # a stage whose arrays outgrow what the process may allocate: numpy
+        # raises a MemoryError subclass with this message
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 6.65 GiB for an array with shape "
+                              "(29885, 29885) and data type float64")
+
+        monkeypatch.setattr(cli, "bin_correlations", refuse)
+        out = tmp_path / "fit"
+        rc = main(["fit", "--rank-grid", str(small_grid), "--out", str(out)])
+        self._assert_input_error(rc, capsys, "error: out of memory: Unable to allocate 6.65 GiB")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, text", [

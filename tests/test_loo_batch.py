@@ -205,9 +205,8 @@ class TestBatchEqualsOracle:
     def test_overflowing_model_gives_non_finite_weights(self):
         rg = _grid(6, 5, seed=11)
         cfg = KrigingConfig(M=6, r0_m=75.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert _solve_outcomes(rg, cfg, OVERFLOWING)["non-finite"] > 0
-            _assert_batch_equals_oracle(rg, cfg, OVERFLOWING)
+        assert _solve_outcomes(rg, cfg, OVERFLOWING)["non-finite"] > 0
+        _assert_batch_equals_oracle(rg, cfg, OVERFLOWING)
 
     @pytest.mark.parametrize("n_valid", [0, 1])
     def test_layer_with_fewer_than_two_in_coverage_cells(self, n_valid):
@@ -377,6 +376,35 @@ class TestDistinctSystems:
         # the layers share the weights: one layer against the oracle
         np.testing.assert_array_equal(est[0], _oracle(rg, 0, layers[0], "kriging", cfg, MODEL))
 
+    @pytest.mark.parametrize("jitter, rows, solves", [(0.0, 2347, 28), (6.0, 2344, 2344)])
+    def test_neighbor_distances_computed_once_per_target(self, monkeypatch, jitter, rows,
+                                                        solves):
+        # the synth-loo input, and the same field with its positions moved by
+        # U(-6, 6) m, where no two targets share a system: every target that
+        # needs a system has its neighbors' pair distances computed once, to
+        # find its system and to solve it
+        rg = synthetic_rank_field(synthetic_grid_positions(36, 71, 30.0), MODEL,
+                                  (30.0, 70.0, 110.0), (100.0,), seed=0)
+        pos = rg.positions + np.random.default_rng(0).uniform(-jitter, jitter,
+                                                              rg.positions.shape)
+        nt = neighbor_table(pos, rg.ranks[0, 0] >= 0, KrigingConfig())
+        var = np.var(rg.ranks[:, 0, :].T.astype(float), axis=1, ddof=1)
+        needed = [c >= 2 and np.mean(var[row[:c]]) != 0.0 for row, c in zip(nt.index, nt.count)]
+        assert sum(needed) == rows
+        counted = []
+        real = kriging._pair_distances
+
+        def spy(xy):
+            counted.append(len(xy))
+            return real(xy)
+
+        monkeypatch.setattr(kriging, "_pair_distances", spy)
+        solved = _record_solves(monkeypatch)
+        stacks = np.broadcast_to(rg.ranks[:, 0, :].T, (3, 2556, 3))
+        krige_table(nt, pos, rg.ranks[:, 0, :].astype(float), stacks, MODEL)
+        assert sum(counted) == rows
+        assert len(solved) == len(set(solved)) == solves
+
     def test_position_one_ulp_off_grid(self):
         # one sample 1 ulp east of its grid point: systems around it have
         # the neighbor offsets of systems elsewhere, but distances with other
@@ -417,11 +445,12 @@ class TestDistinctSystems:
 
     def test_loo_thresholds_sharing_a_mask_solve_together(self, monkeypatch):
         # every layer of three thresholds is in coverage everywhere: Kriging
-        # predicts all nine layers from one neighbor table, finding the
-        # distinct systems once per neighbor count, and every estimate is
-        # _predict_one's.  At the third threshold the southern half is
-        # constant over altitude, so targets there fall back to their nearest
-        # neighbor in that layer while the other layers solve their systems
+        # predicts all nine layers from one neighbor table, finding and
+        # solving the distinct systems in one pass per neighbor count, and
+        # every estimate is _predict_one's.  At the third threshold the
+        # southern half is constant over altitude, so targets there fall back
+        # to their nearest neighbor in that layer while the other layers
+        # solve their systems
         rg = _grid(9, 7, n_h=3, n_k=3, seed=20)
         rg.ranks[:, 2, :27] = rg.ranks[0, 2, :27]
         cfg = KrigingConfig(M=20, r0_m=75.0)
@@ -429,18 +458,18 @@ class TestDistinctSystems:
         var = np.var(rg.ranks[:, 2, :].T.astype(float), axis=1, ddof=1)
         assert any(np.mean(var[row[:c]]) == 0.0 for row, c in zip(nt.index, nt.count))
         calls, tables = [], []
-        real_systems, real_table = kriging._distinct_systems, evaluate.krige_table
+        real_systems, real_table = kriging._system_weights, evaluate.krige_table
 
-        def systems_spy(xy, d_ts):
+        def systems_spy(xy, d_ts, model):
             calls.append(xy.shape[1])
-            return real_systems(xy, d_ts)
+            return real_systems(xy, d_ts, model)
 
         def table_spy(nt, pos, layers, stacks, model):
             est = real_table(nt, pos, layers, stacks, model)
             tables.append(est)
             return est
 
-        monkeypatch.setattr(kriging, "_distinct_systems", systems_spy)
+        monkeypatch.setattr(kriging, "_system_weights", systems_spy)
         monkeypatch.setattr(evaluate, "krige_table", table_spy)
         rep = loo_evaluate(rg, "kriging", cfg, MODEL)
         assert sorted(calls) == sorted(set(nt.count[nt.count >= 2].tolist()))
