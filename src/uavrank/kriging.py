@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationModel
+from .correlation import CorrelationModel, _distances
 
 # Candidates past the M nearest that a k-nearest search returns, so that the
 # samples tied at the M-th distance (up to 8 on a square grid) come in one
@@ -52,13 +52,9 @@ def _variogram_system(sample_xy: np.ndarray, target_xy: np.ndarray,
                       model: CorrelationModel):
     """The unit-sill Kriging system of one target: 1 - correlation, clamped
     at 0, between the samples and from them to the target."""
-    # scipy is imported on first use: the coverage and rank stages load this
-    # module but never call it
-    from scipy.spatial.distance import cdist
-
     m = len(sample_xy)
     a = np.ones((m + 1, m + 1))
-    a[:m, :m] = np.maximum(0.0, 1.0 - model(cdist(sample_xy, sample_xy)))
+    a[:m, :m] = np.maximum(0.0, 1.0 - model(_distances(sample_xy, sample_xy)))
     a[m, m] = 0.0
     b = np.ones(m + 1)
     b[:m] = np.maximum(0.0, 1.0 - model(np.linalg.norm(sample_xy - target_xy, axis=1)))
@@ -289,14 +285,8 @@ def _system_weights(xy, d_ts, model: CorrelationModel):
 
 def _pair_distances(xy) -> np.ndarray:
     """The (B, m, m) distances between the m samples of each of B stacked
-    systems, as cdist computes them: the sum of squares in its order, built
-    in place."""
-    d_ss = xy[:, :, None, 0] - xy[:, None, :, 0]
-    dy = xy[:, :, None, 1] - xy[:, None, :, 1]
-    d_ss *= d_ss
-    dy *= dy
-    d_ss += dy
-    return np.sqrt(d_ss, out=d_ss)
+    systems, as cdist computes them."""
+    return _distances(xy, xy)
 
 
 def _solve_block(d_ss, d_ts, model: CorrelationModel) -> np.ndarray:

@@ -166,6 +166,15 @@ def _quad_le0_interval(A, B, C):
     return [(-np.inf, t1), (t2, np.inf)]
 
 
+def _sum_in_order(values):
+    """The sum of values added left to right, as the batched tracer adds: not
+    the builtin sum, which Python >= 3.12 compensates."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
 def _clip_intervals(intervals, lo, hi):
     out = []
     for a, b in intervals:
@@ -217,7 +226,7 @@ def _trunk_blocked(tree: Tree, p0, p1) -> bool:
     if zi is None:
         return False
     ivs = _clip_intervals(ivs, max(0.0, zi[0]), min(1.0, zi[1]))
-    chord = sum(b - a for a, b in ivs) * seg_len
+    chord = _sum_in_order(b - a for a, b in ivs) * seg_len
     return chord > GRAZE_TOL
 
 
@@ -242,7 +251,7 @@ def _canopy_chord(tree: Tree, p0, p1) -> float:
     if zi is None:
         return 0.0
     ivs = _clip_intervals(ivs, max(0.0, zi[0]), min(1.0, zi[1]))
-    return sum(b - a for a, b in ivs) * seg_len
+    return _sum_in_order(b - a for a, b in ivs) * seg_len
 
 
 def foliage_loss(p0, p1, trees) -> float:
@@ -282,7 +291,7 @@ def _facet_pol(facet: _Facet) -> str:
 def _make_path(s: Scene, vertices, facets_hit) -> RayPath | None:
     verts = [np.asarray(v, dtype=float) for v in vertices]
     segs = list(zip(verts[:-1], verts[1:]))
-    length = sum(float(np.linalg.norm(b - a)) for a, b in segs)
+    length = _sum_in_order(float(np.linalg.norm(b - a)) for a, b in segs)
     fol = 0.0
     for a, b in segs:
         for bl in s.buildings:

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavrank import baseline
 from uavrank.baseline import _interpolate, baseline_rank, baseline_table
+from uavrank.correlation import CorrelationModel
 from uavrank.kriging import KrigingConfig, neighbor_table
+from uavrank.synth import synthetic_grid_positions, synthetic_rank_field
 
 
 def scipy_baseline(x, y, at, method):
@@ -265,6 +268,24 @@ class TestKernelEqualsScipy:
                                    float(i), method) if c >= 2 else np.nan
                     for i, nb, c in zip(nt.targets, nt.index, nt.count)]
             np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("method", ["spline", "makima"])
+    def test_table_does_not_depend_on_the_block(self, monkeypatch, method):
+        # blocks of one row and of every row give the same table: each
+        # estimate depends on its own row alone
+        model = CorrelationModel(0.2932, -0.0508, 0.7057, -0.001, rmse=0.0)
+        rg = synthetic_rank_field(synthetic_grid_positions(12, 11, 30.0), model,
+                                  (30.0, 70.0, 110.0), (100.0,), seed=2)
+        valid = np.random.default_rng(2).random(132) > 0.1
+        nt = neighbor_table(rg.positions, valid, KrigingConfig(r0_m=70.0))
+        layers = rg.ranks[:, 0, :].astype(float)
+        tables = []
+        for entries in (1, 100, 10**9):
+            monkeypatch.setattr(baseline, "_BLOCK_ENTRIES", entries)
+            tables.append(baseline_table(nt, layers, method))
+        assert len(np.unique(nt.count)) > 1
+        for table in tables[1:]:
+            np.testing.assert_array_equal(table, tables[0])
 
 
 class TestInputRules:

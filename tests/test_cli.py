@@ -126,7 +126,7 @@ def _run_fresh(script: str, cwd) -> None:
 class TestImports:
     def test_coverage_and_rank_load_no_scipy(self, scene_file, tmp_path):
         """In a fresh interpreter, importing the CLI and running the coverage,
-        rank and synth stages loads no scipy module; fit then does."""
+        rank, synth and fit stages loads no scipy module."""
         script = f"""
 import sys
 import uavrank.cli as cli
@@ -143,7 +143,7 @@ assert cli.main(["rank", "--scene", {str(scene_file)!r}, "--out", out + "/rank"]
 assert cli.main(["synth", "--out", out + "/synth", "--nx", "8", "--ny", "8"]) == 0
 assert scipy_modules() == [], scipy_modules()
 assert cli.main(["fit", "--rank-grid", out + "/synth", "--out", out + "/fit"]) == 0
-assert "scipy.optimize" in sys.modules and "scipy.spatial" in sys.modules
+assert scipy_modules() == [], scipy_modules()
 """
         _run_fresh(script, tmp_path)
 
@@ -193,6 +193,19 @@ class TestSynthFitInterpolate:
         assert report[0] == "method,altitude_m,K,mae,cells"
         methods = {line.split(",")[0] for line in report[1:]}
         assert methods == {"kriging", "spline", "makima"}
+
+    def test_fit_is_silent_at_the_default_log_level(self, tmp_path):
+        # the fit logs its stop code, evaluations and RMSE at DEBUG: a fresh
+        # `fit` prints nothing and writes only its two artifacts
+        src = str(Path(uavrank.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in (["synth", "--out", "synth", "--nx", "10", "--ny", "10"],
+                     ["fit", "--rank-grid", "synth", "--out", "fit"]):
+            run = subprocess.run([sys.executable, "-m", "uavrank.cli", *argv], env=env,
+                                 cwd=tmp_path, capture_output=True, text=True, timeout=120)
+            assert (run.returncode, run.stdout, run.stderr) == (0, "", "")
+        assert sorted(p.name for p in (tmp_path / "fit").iterdir()) == [
+            "correlation_bins.csv", "correlation_model.json"]
 
     def test_interpolate_builds_one_neighbor_table_per_mask(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)

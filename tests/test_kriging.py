@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from uavrank.correlation import CorrelationModel
 from uavrank.kriging import (
@@ -67,6 +68,16 @@ class TestSemivariogram:
                                  np.array([d, 0.0]), MODEL)
         assert a[0, 1] == a[1, 0] == pytest.approx(1.0 - MODEL(d), abs=1e-12)
         assert b[0] == pytest.approx(1.0 - MODEL(d), abs=1e-12)
+
+    def test_sample_distances_equal_cdist(self):
+        # scattered samples over a wide range of scales: the matrix is the
+        # one built on scipy's cdist, bit for bit
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 1.0, 30.0, 1e6):
+            samples = rng.uniform(-1.0, 1.0, (20, 2)) * scale + rng.uniform(-1e5, 1e5)
+            a, _ = _variogram_system(samples, samples[0], MODEL)
+            want = np.maximum(0.0, 1.0 - MODEL(cdist(samples, samples)))
+            np.testing.assert_array_equal(a[:20, :20], want)
 
     def test_clamped_at_zero(self):
         # phi(d) > 1 up to ~11 m, where the raw gamma would be negative.  The

@@ -2,6 +2,7 @@
 sweeps built on it, against the per-link trace_paths oracle on seeded random
 scenes."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -166,6 +167,44 @@ def test_pruned_image_tree(monkeypatch, scene):
     pairs = set(zip(pruned.first.tolist(), pruned.last.tolist()))
     assert pairs < set(zip(full.first.tolist(), full.last.tolist()))
     assert 2 in table.order
+    for i, point in enumerate(rx):
+        rows = table.cell == i
+        assert [(p.order, p.aod, p.aoa, p.gain) for p in trace_paths(scene, tx, point)] == list(
+            zip(table.order[rows].tolist(), map(tuple, table.aod[rows].tolist()),
+                map(tuple, table.aoa[rows].tolist()), table.gain[rows].tolist()))
+
+
+def compensated_sum(iterable, start=0):
+    """sum() as Python >= 3.12 computes it: once the total is a float, float
+    items are added with Neumaier's compensation, until an item of another
+    type sends the rest through plain addition."""
+    total, c, plain = start, 0.0, False
+    for x in iterable:
+        if plain or type(total) is not float or type(x) is not float:
+            if type(total) is float and not plain and c and math.isfinite(c):
+                total += c
+            plain = plain or type(total) is float
+            total = total + x
+            continue
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    if type(total) is float and not plain and c and math.isfinite(c):
+        total += c
+    return total
+
+
+@pytest.mark.parametrize("scene", [random_scene(0), random_scene(8), random_scene(12),
+                                   corner_scene()]
+                         + [touching_scene(seed) for seed in range(4)])
+def test_per_link_rows_do_not_depend_on_builtin_sum(monkeypatch, scene):
+    # the per-link tracer adds segment lengths and chord intervals in order,
+    # as the batched one does, so a compensated builtin sum (Python >= 3.12)
+    # changes none of its rows
+    monkeypatch.setattr(raytrace, "sum", compensated_sum, raising=False)
+    tx = scene.towers[0].position
+    rx = np.vstack([receivers(scene, tx), CORNER_RX])
+    table = trace_paths(scene, tx, rx)
     for i, point in enumerate(rx):
         rows = table.cell == i
         assert [(p.order, p.aod, p.aoa, p.gain) for p in trace_paths(scene, tx, point)] == list(
