@@ -216,7 +216,8 @@ def _fit(distances, means):
 
     c, info, nfev = _lmder(lambda x: residuals(x).tolist(), jacobian, x0, f0.tolist(),
                            tol=1e-14, maxfev=2500)
-    rmse = float(np.sqrt(np.mean(residuals(c) ** 2)))
+    with np.errstate(over="ignore"):  # inf, as least_squares gives it
+        rmse = float(np.sqrt(np.mean(residuals(c) ** 2)))
     return c, rmse, info, nfev
 
 

@@ -11,7 +11,7 @@ from .baseline import baseline_rank, baseline_table
 from .correlation import CorrelationModel
 from .covermap import RankGrid, Z_RANK
 from .kriging import (KrigingConfig, krige_rank, krige_table, neighbor_table,
-                      select_neighbors)
+                      select_neighbors, varies_over_altitude)
 
 METHODS = ("kriging", "spline", "makima")
 
@@ -43,8 +43,9 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
     evaluated.  Layers with the same coverage share one neighbor search and
     are predicted in one batched pass: the baselines of all of them take one
     kernel call per neighbor count, and Kriging solves each distinct neighbor
-    geometry once for all of them, since its weights depend on nothing else.
-    Every estimate equals the per-cell _predict_one.
+    geometry once for all of them, since its weights depend on nothing else;
+    of the ranks over altitude it reads only whether they vary, a mask taken
+    once per call.  Every estimate equals the per-cell _predict_one.
 
     `tables` maps valid-mask bytes to the neighbor table of that mask. It is
     filled in place, so calls that share one dict on the same grid and cfg
@@ -64,6 +65,7 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
             groups.setdefault(valid.tobytes(), (valid, []))[1].append((hi, ki))
     if tables is None:
         tables = {}  # valid-mask bytes -> NeighborTable
+    varies = varies_over_altitude(rg.ranks) if method == "kriging" else None  # (N_K, n)
     entries = {}
     for mask, (valid, members) in groups.items():
         nt = tables.get(mask)
@@ -72,8 +74,7 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
         his, kis = zip(*members)
         layers = rg.ranks[his, kis].astype(float)  # (L, n)
         if method == "kriging":
-            stacks = rg.ranks[:, kis, :].transpose(1, 2, 0)  # (L, n, N_h)
-            est = krige_table(nt, pos, layers, stacks, model)
+            est = krige_table(nt, pos, layers, varies[list(kis)], model)
             done = nt.count >= 1
         else:
             est = baseline_table(nt, layers, method)
@@ -170,19 +171,11 @@ JOIN_WINDOW_S = 0.05
 
 def align_traces(measured: Trace, simulated: Trace):
     """Nearest-sample time join within the 50 ms window; returns value pairs."""
-    idx = np.searchsorted(simulated.t_s, measured.t_s)
-    idx = np.clip(idx, 1, len(simulated.t_s) - 1) if len(simulated.t_s) > 1 else np.zeros(
-        len(measured.t_s), dtype=int
-    )
+    t, s = measured.t_s, simulated.t_s
+    idx = np.clip(np.searchsorted(s, t), min(1, len(s) - 1), len(s) - 1)
     left = np.maximum(idx - 1, 0)
-    pick = np.where(
-        np.abs(simulated.t_s[idx] - measured.t_s)
-        < np.abs(simulated.t_s[left] - measured.t_s),
-        idx,
-        left,
-    )
-    dt = np.abs(simulated.t_s[pick] - measured.t_s)
-    keep = dt <= JOIN_WINDOW_S
+    pick = np.where(np.abs(s[idx] - t) < np.abs(s[left] - t), idx, left)
+    keep = np.abs(s[pick] - t) <= JOIN_WINDOW_S
     return measured.values[keep], simulated.values[pick[keep]]
 
 

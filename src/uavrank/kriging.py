@@ -143,11 +143,18 @@ def krige_rank(target, sample_xy, layer_values, altitude_stacks,
 
 
 def _altitude_stacks(altitude_stacks) -> np.ndarray:
-    stacks = np.asarray(altitude_stacks, dtype=float)
+    # C order: a stack's variance sums its altitudes as krige_rank's rows do
+    stacks = np.asarray(altitude_stacks, dtype=float, order="C")
     if stacks.shape[-1] < 2:
         raise ValueError(f"Kriging needs at least 2 altitudes, got {stacks.shape[-1]}: "
                          "the rank variance over altitude is undefined")
     return stacks
+
+
+def varies_over_altitude(ranks) -> np.ndarray:
+    """(N_K, n) mask, from ranks (N_h, N_K, n), of the cells whose float stack over
+    altitude has a variance above 0 as krige_rank takes it: all krige_table needs."""
+    return np.var(_altitude_stacks(np.moveaxis(ranks, 0, -1)), axis=-1, ddof=1) != 0.0
 
 
 @dataclass(frozen=True)
@@ -211,38 +218,34 @@ def neighbor_table(sample_xy, valid, cfg: KrigingConfig) -> NeighborTable:
     return NeighborTable(targets, count, index, dist)
 
 
-def krige_table(nt: NeighborTable, sample_xy, layer_values, altitude_stacks,
+def krige_table(nt: NeighborTable, sample_xy, layer_values, varies,
                 model: CorrelationModel) -> np.ndarray:
     """krige_rank(...).estimate for every target of `nt` with the target
     excluded, NaN where it has no neighbor.
 
     `layer_values` holds one row per layer, (L, n), for layers that share the
-    neighbor table, and `altitude_stacks` (L, n, N_h) the stacks of each
-    layer's threshold; the estimates are (L, T).  The weights depend only on
-    the geometry of a target's neighbors, so they serve every layer, and each
+    neighbor table, and `varies` (L, n) the varies_over_altitude row of each
+    layer's threshold (v2, a mean of variances >= 0, is 0 where no neighbor
+    varies); the estimates are (L, T).  The weights depend only on the
+    geometry of a target's neighbors, so they serve every layer, and each
     distinct system is solved once: targets whose systems are built from the
     same bytes (the distances between their neighbors and to them) share its
     weights, and on a regular grid most systems repeat.  The distinct systems
-    of targets with equally many neighbors are solved stacked, with every
-    arithmetic step in krige_rank's order so the estimates are equal to its,
-    fallbacks included.
+    of targets with equally many neighbors are solved stacked, every step in
+    krige_rank's order so the estimates are equal to its, fallbacks included.
     """
-    stacks = _altitude_stacks(altitude_stacks)
     sample_xy = np.asarray(sample_xy, dtype=float)
     layers = np.asarray(layer_values, dtype=float)
-    # row by row, as krige_rank takes the variance of its neighbor rows
-    var = np.var(np.ascontiguousarray(stacks), axis=-1, ddof=1)
     est = np.full((len(layers), len(nt.targets)), np.nan)
     has = nt.count > 0
-    # the nearest neighbor: the estimate of one neighbor, of v2 == 0 (all
-    # neighbor stacks constant) and of every other fallback; a table of fewer
-    # than two targets has no column to take it from
+    # the nearest neighbor: the estimate of one neighbor, of v2 == 0 (no neighbor
+    # varies) and of every other fallback; a table of < 2 targets has no column
     est[:, has] = layers[:, nt.index[has, :1].ravel()]
     for m in np.unique(nt.count[nt.count >= 2]):
         rows = np.flatnonzero(nt.count == m)
         nb = nt.index[rows, :m]
-        # v2 of each layer decides only whether its estimate takes the weights
-        solve = np.array([np.mean(v[nb], axis=1) != 0.0 for v in var])  # (L, R)
+        # v2 != 0 of each layer decides only whether its estimate takes the weights
+        solve = np.array([v[nb].any(axis=1) for v in varies])  # (L, R)
         keep = solve.any(axis=0)
         rows, nb, solve = rows[keep], nb[keep], solve[:, keep]
         system, w = _system_weights(sample_xy[nb], nt.dist[rows, :m], model)

@@ -449,8 +449,8 @@ _RX_ELEMENTS = 16
 
 
 class PathRow(NamedTuple):
-    """One path of a PathTable.  It carries the order, aod, aoa and gain of a
-    RayPath, so the per-link channel functions accept a list of rows."""
+    """One path of a PathTable, as iterating the table yields it: the
+    benchmark's tracer counts the paths of every trace_paths table this way."""
 
     cell: int
     order: int

@@ -351,7 +351,7 @@ class TestFitOracle:
             -0.7241071492054552, -3.3005005511817375])
         with np.errstate(over="ignore", invalid="ignore"):
             x, nfev, rmse = _oracle_fit(d, phi)
-            c, got_rmse, info, got_nfev = correlation._fit(d, phi)
+        c, got_rmse, info, got_nfev = correlation._fit(d, phi)
         assert np.array_equal(c, x) and (got_nfev, got_rmse, info) == (nfev, rmse, 5)
 
     def test_growing_bins_stop_at_the_evaluation_cap(self, fit_corpus):

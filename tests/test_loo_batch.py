@@ -6,6 +6,8 @@ count); every estimate must equal _predict_one's, which runs
 select_neighbors, krige_rank and baseline_rank for one cell.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from uavrank.kriging import (
     krige_table,
     neighbor_table,
     select_neighbors,
+    varies_over_altitude,
 )
 from uavrank.synth import synthetic_grid_positions, synthetic_rank_field
 
@@ -51,6 +54,11 @@ def _layers(rg):
     for hi in range(len(rg.altitudes_m)):
         for ki in range(len(rg.thresholds)):
             yield hi, ki, rg.ranks[hi, ki].astype(float)
+
+
+def _varies(stacks):
+    """The varies_over_altitude row of (n, N_h) altitude stacks."""
+    return varies_over_altitude(np.asarray(stacks).T[:, None])[0]
 
 
 def _oracle(rg, ki, layer, method, cfg, model):
@@ -98,8 +106,8 @@ def _assert_batch_equals_oracle(rg, cfg, model=MODEL, methods=METHODS):
         nt = neighbor_table(rg.positions, layer >= 0, cfg)
         for method in methods:
             if method == "kriging":
-                est = krige_table(nt, rg.positions, layer[None], rg.ranks[:, ki, :].T[None],
-                                  model)[0]
+                est = krige_table(nt, rg.positions, layer[None],
+                                  _varies(rg.ranks[:, ki, :].T)[None], model)[0]
             else:
                 est = baseline_table(nt, layer[None], method)[0]
             ref = oracle[hi, ki, method] = _oracle(rg, ki, layer, method, cfg, model)
@@ -195,6 +203,19 @@ class TestBatchEqualsOracle:
         _assert_batch_equals_oracle(_grid(8, 6, seed=7, constant_stacks=True),
                                     KrigingConfig(M=6, r0_m=90.0))
 
+    def test_constant_stacks_past_2_53(self):
+        # ranks near 2**61, over altitude constant or 1 apart, which floats
+        # do not tell apart: the rounded mean gives some of these constant
+        # float stacks a variance above 0, and both Kriging paths solve there
+        rg = _grid(8, 6, n_h=9, seed=21)
+        rng = np.random.default_rng(21)
+        rg.ranks[:] = (rng.integers(2**60, 2**62, size=(1, 2, 48))
+                       + (rng.random(rg.ranks.shape) < 0.3))
+        f = rg.ranks.astype(float)
+        varies = varies_over_altitude(rg.ranks)
+        assert np.all(f == f[:1]) and varies.any() and not varies.all()
+        _assert_batch_equals_oracle(rg, KrigingConfig(M=6, r0_m=90.0), methods=("kriging",))
+
     def test_inflated_model_falls_back(self):
         rg = _grid(8, 6, seed=75, z_frac=0.2)
         cfg = KrigingConfig(M=6, r0_m=75.0)
@@ -288,13 +309,29 @@ class TestStackedLayers:
         for ki in range(len(rg.thresholds)):
             stacks = rg.ranks[:, ki, :].T
             layers = rg.ranks[:, ki, :].astype(float)
-            stacked = krige_table(nt, rg.positions, layers, np.broadcast_to(stacks, (4, 48, 4)),
+            varies = _varies(stacks)
+            stacked = krige_table(nt, rg.positions, layers, np.broadcast_to(varies, (4, 48)),
                                   model)
             assert stacked.shape == (4, 48)
             for layer, row in zip(layers, stacked):
                 np.testing.assert_array_equal(row, krige_table(nt, rg.positions, layer[None],
-                                                               stacks[None], model)[0])
+                                                               varies[None], model)[0])
                 np.testing.assert_array_equal(row, _oracle(rg, ki, layer, "kriging", cfg, model))
+
+    def test_kriging_peak_below_one_altitude_stack(self):
+        # 80 x 80 cells, 9 altitudes, 3 thresholds: with the neighbor table
+        # built, Kriging all 27 layers peaks below one float (L, n, N_h)
+        # stack of them, 12.4 MB, as it holds one mask per threshold instead
+        rg = _grid(80, 80, n_h=9, n_k=3, seed=22)
+        tables = {}
+        loo_evaluate(rg, "kriging", KrigingConfig(), MODEL, tables=tables)
+        tracemalloc.start()
+        try:
+            loo_evaluate(rg, "kriging", KrigingConfig(), MODEL, tables=tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 27 * 6400 * 9 * 8
 
     @pytest.mark.parametrize("method", METHODS)
     def test_layer_subsets_with_mixed_coverage(self, method):
@@ -331,7 +368,7 @@ def _geometry(pos, nt, t):
 
 def _assert_table_equals_krige_rank(pos, layer, stacks, cfg):
     nt = neighbor_table(pos, layer >= 0, cfg)
-    est = krige_table(nt, pos, layer[None], stacks[None], MODEL)[0]
+    est = krige_table(nt, pos, layer[None], _varies(stacks)[None], MODEL)[0]
     ref = [krige_rank(pos[i], pos, layer, stacks, cfg, MODEL, exclude=int(i)).estimate
            for i in nt.targets]
     np.testing.assert_array_equal(est, ref)
@@ -369,8 +406,8 @@ class TestDistinctSystems:
         assert np.sum(nt.count >= 2) > 2000
         solved = _record_solves(monkeypatch)
         layers = rg.ranks[:, 0, :].astype(float)
-        stacks = np.broadcast_to(rg.ranks[:, 0, :].T, (3, 2556, 3))  # (L, n, N_h)
-        est = krige_table(nt, rg.positions, layers, stacks, MODEL)
+        varies = np.broadcast_to(_varies(rg.ranks[:, 0, :].T), (3, 2556))  # (L, n)
+        est = krige_table(nt, rg.positions, layers, varies, MODEL)
         assert 0 < len(solved) <= 32
         assert len(set(solved)) == len(solved)
         # the layers share the weights: one layer against the oracle
@@ -400,8 +437,8 @@ class TestDistinctSystems:
 
         monkeypatch.setattr(kriging, "_pair_distances", spy)
         solved = _record_solves(monkeypatch)
-        stacks = np.broadcast_to(rg.ranks[:, 0, :].T, (3, 2556, 3))
-        krige_table(nt, pos, rg.ranks[:, 0, :].astype(float), stacks, MODEL)
+        varies = np.broadcast_to(_varies(rg.ranks[:, 0, :].T), (3, 2556))
+        krige_table(nt, pos, rg.ranks[:, 0, :].astype(float), varies, MODEL)
         assert sum(counted) == rows
         assert len(solved) == len(set(solved)) == solves
 
@@ -464,8 +501,8 @@ class TestDistinctSystems:
             calls.append(xy.shape[1])
             return real_systems(xy, d_ts, model)
 
-        def table_spy(nt, pos, layers, stacks, model):
-            est = real_table(nt, pos, layers, stacks, model)
+        def table_spy(nt, pos, layers, varies, model):
+            est = real_table(nt, pos, layers, varies, model)
             tables.append(est)
             return est
 
