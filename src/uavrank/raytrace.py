@@ -57,10 +57,9 @@ class _Facet:
     axis: int  # 0, 1 or 2: which coordinate is constant
     value: float
     sign: float  # outward normal direction along `axis`
-    lo: tuple[float, float]  # bounds over the two remaining axes
-    hi: tuple[float, float]
+    lo: tuple[float, float, float]  # bounding box; `value` on `axis`, +-inf for the ground
+    hi: tuple[float, float, float]
     material: Material
-    infinite: bool = False
 
     def front_of(self, p) -> bool:
         return self.sign * (p[self.axis] - self.value) > POINT_TOL
@@ -71,30 +70,24 @@ class _Facet:
         return q
 
     def contains(self, p) -> bool:
-        if self.infinite:
-            return True
-        others = [i for i in range(3) if i != self.axis]
-        for k, i in enumerate(others):
-            if p[i] < self.lo[k] - POINT_TOL or p[i] > self.hi[k] + POINT_TOL:
-                return False
-        return True
+        # as _contains: p lies on the facet plane, so only the in-plane bounds can fail
+        return all(lo - POINT_TOL <= x <= hi + POINT_TOL
+                   for x, lo, hi in zip(p, self.lo, self.hi))
 
 
 def scene_facets(s: Scene) -> list[_Facet]:
-    facets = [
-        _Facet(axis=2, value=0.0, sign=1.0, lo=(0, 0), hi=(0, 0),
-               material=s.ground_material, infinite=True)
-    ]
+    inf = np.inf
+    facets = [_Facet(2, 0.0, 1.0, (-inf, -inf, 0.0), (inf, inf, 0.0), s.ground_material)]
     for b in s.buildings:
         x0, x1 = b.x, b.x + b.w
         y0, y1 = b.y, b.y + b.h
-        m = b.material
+        z1, m = b.height, b.material
         facets += [
-            _Facet(0, x0, -1.0, (y0, 0.0), (y1, b.height), m),
-            _Facet(0, x1, +1.0, (y0, 0.0), (y1, b.height), m),
-            _Facet(1, y0, -1.0, (x0, 0.0), (x1, b.height), m),
-            _Facet(1, y1, +1.0, (x0, 0.0), (x1, b.height), m),
-            _Facet(2, b.height, +1.0, (x0, y0), (x1, y1), m),  # roof
+            _Facet(0, x0, -1.0, (x0, y0, 0.0), (x0, y1, z1), m),
+            _Facet(0, x1, +1.0, (x1, y0, 0.0), (x1, y1, z1), m),
+            _Facet(1, y0, -1.0, (x0, y0, 0.0), (x1, y0, z1), m),
+            _Facet(1, y1, +1.0, (x0, y1, 0.0), (x1, y1, z1), m),
+            _Facet(2, z1, +1.0, (x0, y0, z1), (x1, y1, z1), m),  # roof
         ]
     return facets
 
@@ -495,7 +488,7 @@ class _FacetArrays(NamedTuple):
     value: np.ndarray
     sign: np.ndarray
     others: np.ndarray  # (F, 2) the in-plane axes, ascending
-    lo: np.ndarray  # (F, 3) bounding box; +-inf for the infinite ground
+    lo: np.ndarray  # (F, 3) each facet's _Facet.lo and _Facet.hi
     hi: np.ndarray
     eps: np.ndarray  # (F,) complex relative permittivity
     tm: np.ndarray  # (F,) bool: TM polarization (horizontal facet)
@@ -507,15 +500,9 @@ def _facet_arrays(s: Scene) -> _FacetArrays:
     axis = np.array([f.axis for f in facets])
     value = np.array([f.value for f in facets], dtype=float)
     others = np.array([[i for i in range(3) if i != a] for a in axis]).reshape(-1, 2)
-    rows = np.arange(len(facets))[:, None]
-    infinite = np.array([[f.infinite] for f in facets])
-    lo = np.empty((len(facets), 3))
-    hi = np.empty_like(lo)
-    lo[rows, others] = np.where(infinite, -np.inf, [f.lo for f in facets])
-    hi[rows, others] = np.where(infinite, np.inf, [f.hi for f in facets])
-    lo[rows[:, 0], axis] = hi[rows[:, 0], axis] = value
     return _FacetArrays(axis=axis, value=value, sign=np.array([f.sign for f in facets]),
-                        others=others, lo=lo, hi=hi,
+                        others=others, lo=np.array([f.lo for f in facets], dtype=float),
+                        hi=np.array([f.hi for f in facets], dtype=float),
                         eps=np.array([eps[f.material] for f in facets], dtype=complex),
                         tm=axis == 2)
 
@@ -809,26 +796,20 @@ def _gains(s: Scene, fa: _FacetArrays, length, foliage_db, bounces):
     return gain
 
 
-def _block_candidates(fa: _FacetArrays, tree: _ImageTree, rx, front_rx):
-    """Indices of the candidates whose image can reach a receiver of the
-    block through their last facet: the image lies behind that facet, some
-    receiver in front of it, and the receivers' box, projected from the image
-    onto the facet's plane, meets the facet.  The exact last-bounce test of
-    _trace_block passes no other candidate."""
+def _block_candidates(fa: _FacetArrays, tree: _ImageTree, front_rx):
+    """Indices of the candidates whose image lies behind their last facet
+    with some receiver of the block in front of it: the exact last-bounce
+    test of _trace_block passes no other candidate."""
     last = tree.last
-    a = fa.axis[last]
-    behind = fa.sign[last] * (tree.img[np.arange(len(last)), a] - fa.value[last]) < 0
-    k = np.flatnonzero(behind & front_rx.any(axis=1)[last])
-    lo = np.broadcast_to(rx.min(axis=0, initial=np.inf), (len(k), 3))
-    hi = np.broadcast_to(rx.max(axis=0, initial=-np.inf), (len(k), 3))
-    return k[_projection_meets(fa, tree.img[k], last[k], lo, hi)]
+    behind = fa.sign[last] * (tree.img[np.arange(len(last)), fa.axis[last]] - fa.value[last]) < 0
+    return np.flatnonzero(behind & front_rx.any(axis=1)[last])
 
 
 def _trace_block(s, fa, tree, ob, tx, rx):
     """PathTable rows of one block of receivers, plus each row's candidate."""
     n_rx = len(rx)
     front_rx = fa.sign[:, None] * (rx[:, fa.axis].T - fa.value[:, None]) > POINT_TOL
-    kept = _block_candidates(fa, tree, rx, front_rx)
+    kept = _block_candidates(fa, tree, front_rx)
     tree = _ImageTree(*(col[kept] for col in tree))
 
     # last bounce toward every receiver, one coordinate at a time so that only
@@ -851,12 +832,14 @@ def _trace_block(s, fa, tree, ob, tx, rx):
     q = tree.img[c] + t[c, r][:, None] * (rx[r] - tree.img[c])
     q[np.arange(len(c)), a[c]] = fa.value[last[c]]
 
-    # the first bounce of second-order candidates
+    # the first bounce of second-order candidates, in trace_paths' order: q2
+    # in front of the first facet, then the reflection point q1 on it
     two = tree.order[c] == 2
     c2, r2, q2 = c[two], r[two], q[two]
-    f1, f2 = tree.first[c2], tree.last[c2]
-    ok, q1 = _reflect(fa, f1, tree.img1[c2], q2)
-    ok &= _front_of(fa, f1, q2) & _front_of(fa, f2, q1)
+    ahead = _front_of(fa, tree.first[c2], q2)
+    c2, r2, q2 = c2[ahead], r2[ahead], q2[ahead]
+    ok, q1 = _reflect(fa, tree.first[c2], tree.img1[c2], q2)
+    ok &= _front_of(fa, tree.last[c2], q1)
     c2, r2, q1, q2 = c2[ok], r2[ok], q1[ok], q2[ok]
     c1, r1, q = c[~two], r[~two], q[~two]
 

@@ -7,6 +7,7 @@ safe to share across workers.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -61,6 +62,8 @@ class Material:
         if not self.d >= 0:
             raise SceneError(f"material {self.name!r}: d must be >= 0, got {self.d}")
         _check_finite(f"material {self.name!r}", self, ("a", "b", "c", "d"))
+        if self.c < 0:
+            raise SceneError(f"material {self.name!r}: c must be >= 0, got {self.c}")
 
 
 # Constants transcribed from ITU-R P.2040 Table 3 (valid around 1-10 GHz).
@@ -152,6 +155,10 @@ class Tree:
         ):
             if not getattr(self, name) > 0:
                 raise SceneError(f"tree {name} must be > 0")
+        # a negative dB/m would make a canopy amplify the path
+        if not self.attenuation_db_per_m >= 0:
+            raise SceneError(f"tree attenuation_db_per_m must be >= 0, "
+                             f"got {self.attenuation_db_per_m}")
         _check_finite("tree", self, ("x", "y", "trunk_height", "trunk_radius", "canopy_height",
                                      "canopy_base_radius", "attenuation_db_per_m"))
 
@@ -190,6 +197,20 @@ class Scene:
         # written as `not x > 0` so that NaN is rejected too
         if not self.frequency_hz > 0:
             raise SceneError(f"frequency must be > 0, got {self.frequency_hz}")
+        # a frequency below c / DBL_MAX has an infinite wavelength
+        if not math.isfinite(self.wavelength_m):
+            raise SceneError(f"wavelength must be finite, got {self.wavelength_m} m "
+                             f"at {self.frequency_hz:g} Hz")
+        for m in dict.fromkeys((self.ground_material, *(b.material for b in self.buildings))):
+            try:
+                eps = permittivity(m, self.frequency_hz)
+            except OverflowError:  # f_GHz ** b or ** d past a float's range
+                eps = math.inf
+            if not cmath.isfinite(eps):
+                raise SceneError(f"material {m.name!r} has no finite permittivity "
+                                 f"at {self.frequency_hz:g} Hz")
+        if not 0 < self.tx_power_w < math.inf:
+            raise SceneError(f"tx power must be finite and > 0, got {self.tx_power_w}")
         if not 0 < self.grid_spacing_m < math.inf:
             raise SceneError(f"grid spacing must be finite and > 0, got {self.grid_spacing_m}")
         w, h = self.extent_m

@@ -756,6 +756,46 @@ class TestMalformedArtifacts:
         assert not out.exists()
 
 
+# one building, one tree and one tower, on a 3 x 3 grid at 30 m
+PROBE_SCENE = {
+    "extent_m": [90, 90], "grid_spacing_m": 30, "altitudes_m": [30, 60],
+    "materials": [{"name": "m", "a": 5.0, "b": 0.1, "c": 0.05, "d": 0.8}],
+    "buildings": [{"x": 10, "y": 10, "w": 20, "h": 20, "height": 20, "material": "m"}],
+    "trees": [{"x": 60, "y": 30}],
+    "towers": [{"id": 1, "x": 45, "y": 75, "height": 15}],
+}
+
+
+@pytest.mark.parametrize("value", [1e300, -1e300, 1e-300, 0, -1])
+@pytest.mark.parametrize("field", ["frequency_hz", "tx_power_w", "a", "b", "c", "d",
+                                   "attenuation_db_per_m"])
+def test_scene_values_at_the_edges_of_a_float(tmp_path, field, value):
+    """With one physical value of the scene at 1e300, -1e300, 1e-300, 0 or -1,
+    `rank` and `coverage` in a fresh interpreter that turns RuntimeWarnings
+    into errors either succeed or exit 2 with one line and no out directory:
+    never a traceback."""
+    doc = json.loads(json.dumps(PROBE_SCENE))
+    if field in ("a", "b", "c", "d"):
+        doc["materials"][0][field] = value
+    elif field == "attenuation_db_per_m":
+        doc["trees"][0][field] = value
+    else:
+        doc[field] = value
+    (tmp_path / "scene.json").write_text(json.dumps(doc))
+    src = str(Path(uavrank.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for command in (["rank"], ["coverage", "--altitudes", "30"]):
+        out = tmp_path / command[0]
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "uavrank.cli",
+                              *command, "--scene", "scene.json", "--out", out.name],
+                             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        err = run.stderr.strip().splitlines()
+        if run.returncode != EXIT_OK:
+            assert run.returncode == EXIT_INPUT, run.stderr
+            assert len(err) == 1 and err[0].startswith("error:"), run.stderr
+            assert not out.exists()
+
+
 class TestWriteAll:
     """A stage writes all of its artifacts or none of them."""
 

@@ -164,6 +164,16 @@ class TestGeometryValidation:
             build(bad)
         build(1.0)  # the same object with a finite value constructs
 
+    def test_negative_conductivity_and_attenuation(self):
+        # a negative c gives a conductivity below zero; a negative dB/m makes
+        # a canopy multiply the path gain by more than 1
+        with pytest.raises(SceneError, match="'m': c must be >= 0, got -0.1"):
+            Material("m", a=1.0, b=0.0, c=-0.1, d=0.5)
+        with pytest.raises(SceneError, match="attenuation_db_per_m must be >= 0, got -1.0"):
+            Tree(x=0, y=0, attenuation_db_per_m=-1.0)
+        Material("m", a=1.0, b=0.0, c=0.0, d=0.5)
+        Tree(x=0, y=0, attenuation_db_per_m=0.0)
+
     def test_material_nan_b_and_c(self):
         with pytest.raises(SceneError, match="b must be finite"):
             Material("m", a=1.0, b=NAN, c=NAN, d=0.5)
@@ -190,6 +200,33 @@ class TestScene:
                        {"extent_m": (nan, 100.0)}, {"altitudes_m": (30.0, nan)}):
             with pytest.raises(SceneError):
                 Scene(**kwargs)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, -1e300, float("inf"), NAN])
+    def test_tx_power_must_be_finite_and_positive(self, power):
+        # log10 of a power <= 0 is -inf or NaN, which a coverage grid cannot
+        # tell from out of coverage
+        with pytest.raises(SceneError, match="tx power must be finite and > 0"):
+            Scene(tx_power_w=power)
+
+    def test_wavelength_must_be_finite(self):
+        # c / 1e-300 Hz overflows a float
+        with pytest.raises(SceneError, match="wavelength must be finite, got inf m at 1e-300 Hz"):
+            Scene(frequency_hz=1e-300)
+        assert Scene(frequency_hz=1e-299).wavelength_m < float("inf")
+
+    @pytest.mark.parametrize("kwargs, name", [
+        # f_GHz ** b and f_GHz ** d raise OverflowError past a float's range
+        ({"frequency_hz": 1e300}, "medium_dry_ground"),
+        ({"buildings": (Building(0, 0, 5, 5, 5, Material("m", a=1.0, b=1000.0, c=0.0, d=0.0)),)},
+         "m"),
+        ({"ground_material": Material("g", a=1.0, b=0.0, c=0.1, d=1000.0)}, "g"),
+        # the conductivity's quotient overflows to inf without an error
+        ({"frequency_hz": 1e-200, "ground_material": Material("g", a=1.0, b=0.0, c=1e100,
+                                                              d=0.0)}, "g"),
+    ])
+    def test_permittivity_must_be_finite(self, kwargs, name):
+        with pytest.raises(SceneError, match=f"material '{name}' has no finite permittivity"):
+            Scene(**kwargs)
 
     def test_altitudes_strictly_increasing(self):
         with pytest.raises(SceneError):

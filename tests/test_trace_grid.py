@@ -216,17 +216,17 @@ def test_per_link_rows_do_not_depend_on_builtin_sum(monkeypatch, scene):
 @pytest.mark.parametrize("scene", [random_scene(seed) for seed in SEEDS[::3]]
                          + [touching_scene(seed) for seed in range(4)])
 def test_block_candidate_cull(monkeypatch, scene, block):
-    # each block of receivers drops the candidates whose last facet its
-    # receivers cannot reach through their image; the table must be that of
-    # every candidate
+    # each block of receivers drops the candidates whose image does not lie
+    # behind their last facet, or whose last facet has no receiver of the
+    # block in front of it; the table must be that of every candidate
     tx = scene.towers[0].position
     rx = np.vstack([receivers(scene, tx), CORNER_RX])
     monkeypatch.setattr(raytrace, "_BLOCK", block)
     dropped = []
     cull = raytrace._block_candidates
 
-    def counted(fa, tree, rx, front_rx):
-        kept = cull(fa, tree, rx, front_rx)
+    def counted(fa, tree, front_rx):
+        kept = cull(fa, tree, front_rx)
         dropped.append(len(tree.order) - len(kept))
         return kept
 
@@ -235,7 +235,7 @@ def test_block_candidate_cull(monkeypatch, scene, block):
         table = trace_paths(scene, tx, rx)
     assert sum(dropped) > 0
     monkeypatch.setattr(raytrace, "_block_candidates",
-                        lambda fa, tree, rx, front_rx: np.arange(len(tree.order)))
+                        lambda fa, tree, front_rx: np.arange(len(tree.order)))
     assert _columns(trace_paths(scene, tx, rx)) == _columns(table)
 
 
