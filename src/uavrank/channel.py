@@ -34,7 +34,7 @@ def _direction(az: float, el: float) -> np.ndarray:
     return np.array([c * np.cos(az), c * np.sin(az), np.sin(el)])
 
 
-def steering_vector(a: ArrayConfig, direction, wavelength_m: float) -> np.ndarray:
+def steering_vector(a: ArrayConfig, direction) -> np.ndarray:
     """ULA response: element k gets phase 2*pi*k*spacing*(axis . direction)."""
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
@@ -49,15 +49,16 @@ def synthesize_channel(paths, tx: ArrayConfig, rx: ArrayConfig,
     """Sum of gain-weighted steering outer products over all paths.
 
     Plane-wave approximation across the arrays: every path contributes
-    gain * a_rx(aoa) a_tx(aod)^H.
+    gain * a_rx(aoa) a_tx(aod)^H. The element spacing is given in
+    wavelengths, so `wavelength_m` is unused.
     """
     paths = list(paths)
     if not paths:
         raise OutOfCoverageError("no propagation paths: receiver out of coverage")
     h = np.zeros((rx.elements, tx.elements), dtype=complex)
     for p in paths:
-        a_tx = steering_vector(tx, _direction(*p.aod), wavelength_m)
-        a_rx = steering_vector(rx, _direction(*p.aoa), wavelength_m)
+        a_tx = steering_vector(tx, _direction(*p.aod))
+        a_rx = steering_vector(rx, _direction(*p.aoa))
         h += p.gain * np.outer(a_rx, a_tx.conj())
     return ChannelMatrix(entries=h)
 
@@ -110,30 +111,23 @@ def _steering_rows(a: ArrayConfig, angles) -> np.ndarray:
     return np.exp(phase)
 
 
-def synthesize_channels(paths, n_links: int, tx: ArrayConfig, rx: ArrayConfig,
-                        wavelength_m: float) -> np.ndarray:
-    """Channel matrix of every link of a PathTable, shape (n_links, N_r, N_t).
-
-    Links without a path get an all-zero matrix.
-    """
+def synthesize_channels(paths, tx: ArrayConfig, rx: ArrayConfig):
+    """(cells, h): the links of a PathTable that have a path, ascending, and
+    their channel matrices, shape (len(cells), N_r, N_t)."""
+    cells, link = np.unique(paths.cell, return_inverse=True)
     a_tx = _steering_rows(tx, paths.aod).conj()
     a_rx = _steering_rows(rx, paths.aoa)
-    h = np.zeros((n_links, rx.elements, tx.elements), dtype=complex)
+    h = np.zeros((len(cells), rx.elements, tx.elements), dtype=complex)
     # add.at applies the rows in order, so each link sums its paths in path
     # order from zero, as synthesize_channel does
-    np.add.at(h, paths.cell, paths.gain[:, None, None] * (a_rx[:, :, None] * a_tx[:, None, :]))
+    np.add.at(h, link, paths.gain[:, None, None] * (a_rx[:, :, None] * a_tx[:, None, :]))
     if not np.all(np.isfinite(h)):
         raise ValueError("channel matrix entries must be finite")
-    return h
+    return cells, h
 
 
 def channel_ranks(h: np.ndarray, thresholds) -> np.ndarray:
-    """channel_rank of a stack of channel matrices for every K: (n, N_K)."""
-    for K in thresholds:
-        if K <= 1:
-            raise ValueError(f"threshold ratio K must be > 1, got {K}")
-    if len(h) == 0:
-        return np.zeros((0, len(thresholds)), dtype=int)
+    """channel_rank of a stack of channel matrices for every K > 1: (n, N_K)."""
     sv = np.linalg.svd(h, compute_uv=False)
     if np.any(sv[:, 0] == 0):
         raise ValueError("rank undefined for an all-zero channel matrix")

@@ -28,6 +28,10 @@ Z_RANK = -1
 
 @dataclass(frozen=True)
 class CoverageGrid:
+    """RSS of one tower (or JOINT) at one altitude. Invariants, checked on
+    construction: positions and values have equal length, and the altitude
+    is finite and > 0."""
+
     tower_id: object  # tower id or JOINT
     altitude_m: float
     mode: str  # "SISO" or "MIMO"
@@ -37,6 +41,8 @@ class CoverageGrid:
     def __post_init__(self):
         if len(self.positions) != len(self.values):
             raise ValueError("positions and values must have equal length")
+        if not 0 < self.altitude_m < np.inf:
+            raise ValueError(f"altitude must be > 0, got {self.altitude_m}")
 
     @property
     def blockage_fraction(self) -> float:
@@ -45,11 +51,33 @@ class CoverageGrid:
 
 @dataclass(frozen=True)
 class RankGrid:
+    """Rank per (altitude, K, grid cell). Invariants, checked on construction
+    as rank_grid_from_json reads them back, so every grid round-trips through
+    rank_grid_to_json: positions (N_loc, 2), ranks (N_h, N_K, N_loc) and
+    serving_tower (N_loc,); altitudes and thresholds are layer axes
+    (scene.check_layer_axis); every rank is >= Z_RANK."""
+
     positions: np.ndarray  # (N_loc, 2)
     altitudes_m: tuple  # (N_h,)
     thresholds: tuple  # (N_K,) threshold ratio constants K
     ranks: np.ndarray  # int, shape (N_h, N_K, N_loc), Z_RANK for out-of-coverage
     serving_tower: np.ndarray  # tower id per grid index
+
+    def __post_init__(self):
+        n_loc = len(self.positions)
+        shapes = (
+            ("positions", (n_loc, 2)),
+            ("ranks", (len(self.altitudes_m), len(self.thresholds), n_loc)),
+            ("serving_tower", (n_loc,)),
+        )
+        for name, want in shapes:
+            shape = np.shape(getattr(self, name))
+            if shape != want:
+                raise ValueError(f"rank grid {name} has shape {shape}, expected {want}")
+        check_layer_axis("rank grid altitudes_m", self.altitudes_m)
+        check_layer_axis("rank grid thresholds", self.thresholds, thresholds=True)
+        if np.any(self.ranks < Z_RANK):
+            raise ValueError(f"rank grid ranks must be >= {Z_RANK}")
 
     def layer(self, altitude_m: float, K: float) -> np.ndarray:
         hi = self.altitudes_m.index(altitude_m)
@@ -71,30 +99,25 @@ def _sweep(s: Scene, tower: Tower, xy: np.ndarray, altitudes, tx_cfg: ArrayConfi
                           np.repeat(np.asarray(altitudes, dtype=float), len(xy))])
     paths = trace_paths(s, tower.position, rx)
     for k in range(0, len(rx), _CHANNEL_BLOCK):
-        block = paths.links(k, k + _CHANNEL_BLOCK)
-        covered = np.unique(block.cell)
-        h = synthesize_channels(block, min(_CHANNEL_BLOCK, len(rx) - k), tx_cfg, rx_cfg,
-                                s.wavelength_m)
-        out[k + covered] = reduce(h[covered])
+        cells, h = synthesize_channels(paths.links(k, k + _CHANNEL_BLOCK), tx_cfg, rx_cfg)
+        out[k + cells] = reduce(h)
 
 
 def compute_coverage(s: Scene, tower: Tower, altitude_m: float,
                      mode: str = "SISO") -> CoverageGrid:
     """RSS over the scene grid for one tower at one receiver altitude; SISO
     uses single elements, MIMO the tower's array and a default receive array."""
-    if altitude_m <= 0:
-        raise ValueError(f"altitude must be > 0, got {altitude_m}")
+    pos = grid_positions(s)
+    g = CoverageGrid(tower.id, altitude_m, mode, pos, np.full(len(pos), np.nan))
     if mode == "SISO":
         tx_cfg = rx_cfg = ArrayConfig(elements=1)
     elif mode == "MIMO":
         tx_cfg, rx_cfg = tower.array, ArrayConfig()
     else:
         raise ValueError(f"mode must be 'SISO' or 'MIMO', got {mode!r}")
-    pos = grid_positions(s)
-    values = np.full(len(pos), np.nan)
     _sweep(s, tower, pos, (altitude_m,), tx_cfg, rx_cfg,
-           lambda h: rss_dbm(h, tx_cfg, rx_cfg, s.tx_power_w), values)
-    return CoverageGrid(tower.id, altitude_m, mode, pos, values)
+           lambda h: rss_dbm(h, tx_cfg, rx_cfg, s.tx_power_w), g.values)
+    return g
 
 
 def nearest_tower_ids(s: Scene, positions: np.ndarray) -> np.ndarray:
@@ -138,7 +161,7 @@ def rss_cdf(g: CoverageGrid):
     blockage = g.blockage_fraction
     if len(vals) == 0:
         return [], blockage
-    vs, counts = np.unique(np.sort(vals), return_counts=True)
+    vs, counts = np.unique(vals, return_counts=True)
     cum = np.cumsum(counts) / len(vals)
     return list(zip(vs.tolist(), cum.tolist())), blockage
 
@@ -150,19 +173,19 @@ def compute_rank_grid(s: Scene, thresholds=DEFAULT_THRESHOLD_RATIOS,
     pos = grid_positions(s)
     altitudes = tuple(altitudes_m if altitudes_m is not None else s.altitudes_m)
     thresholds = tuple(thresholds)
-    serving = nearest_tower_ids(s, pos)
-    rx_cfg = ArrayConfig()
-    ranks = np.full((len(altitudes), len(thresholds), len(pos)), Z_RANK, dtype=int)
+    # built before any trace, so a grid its reader would refuse is never swept
+    rg = RankGrid(pos, altitudes, thresholds,
+                  np.full((len(altitudes), len(thresholds), len(pos)), Z_RANK),
+                  nearest_tower_ids(s, pos))
     for tower in s.towers:
-        cells = np.nonzero(serving == tower.id)[0]
+        cells = np.nonzero(rg.serving_tower == tower.id)[0]
         if len(cells) == 0:
             continue
         r = np.full((len(altitudes) * len(cells), len(thresholds)), Z_RANK)
-        _sweep(s, tower, pos[cells], altitudes, tower.array, rx_cfg,
+        _sweep(s, tower, pos[cells], altitudes, tower.array, ArrayConfig(),
                lambda h: channel_ranks(h, thresholds), r)
-        r = r.reshape(len(altitudes), len(cells), len(thresholds))
-        ranks[:, :, cells] = r.transpose(0, 2, 1)
-    return RankGrid(pos, altitudes, thresholds, ranks, serving)
+        rg.ranks[:, :, cells] = r.reshape(len(altitudes), len(cells), -1).transpose(0, 2, 1)
+    return rg
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +245,11 @@ def rank_grid_from_json(text: str) -> RankGrid:
         if name not in d:
             raise ValueError(f"rank grid missing key {name!r}")
         a[name] = json_numbers(d[name], f"rank grid {name}", ndim)
-    n_h, n_k, n_loc = len(a["altitudes_m"]), len(a["thresholds"]), len(a["positions"])
-    shapes = (
-        ("positions", (n_loc, 2)),
-        ("ranks", (n_h, n_k, n_loc)),
-        ("serving_tower", (n_loc,)),
-    )
-    for name, want in shapes:
-        if a[name].shape != want:
-            raise ValueError(f"rank grid {name} has shape {a[name].shape}, expected {want}")
-    altitudes, thresholds = tuple(a["altitudes_m"].tolist()), tuple(a["thresholds"].tolist())
-    check_layer_axis("rank grid altitudes_m", altitudes)
-    check_layer_axis("rank grid thresholds", thresholds, thresholds=True)
     for name in ("ranks", "serving_tower"):
         if not np.all((np.abs(a[name]) < 2.0**63) & (a[name] == np.round(a[name]))):
             raise ValueError(f"rank grid {name} must hold 64-bit integers")
-    if np.any(a["ranks"] < Z_RANK):
-        raise ValueError(f"rank grid ranks must be >= {Z_RANK}")
-    return RankGrid(a["positions"], altitudes, thresholds, a["ranks"].astype(int),
+    return RankGrid(a["positions"], tuple(a["altitudes_m"].tolist()),
+                    tuple(a["thresholds"].tolist()), a["ranks"].astype(int),
                     a["serving_tower"].astype(int))
 
 

@@ -7,11 +7,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import baseline_rank, baseline_table
+from .baseline import baseline_table
 from .correlation import CorrelationModel
 from .covermap import RankGrid, Z_RANK
-from .kriging import (KrigingConfig, krige_rank, krige_table, neighbor_table,
-                      select_neighbors, varies_over_altitude)
+from .kriging import KrigingConfig, krige_table, neighbor_table, varies_over_altitude
+
+# Per-target references, which loo_evaluate does not call; bound here because
+# bench/tracing.py wraps them by their evaluate names.
+from .baseline import baseline_rank  # noqa: F401
+from .kriging import krige_rank, select_neighbors  # noqa: F401
 
 METHODS = ("kriging", "spline", "makima")
 
@@ -45,7 +49,8 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
     kernel call per neighbor count, and Kriging solves each distinct neighbor
     geometry once for all of them, since its weights depend on nothing else;
     of the ranks over altitude it reads only whether they vary, a mask taken
-    once per call.  Every estimate equals the per-cell _predict_one.
+    once per call.  Every estimate equals the per-cell reference that runs
+    select_neighbors, krige_rank and baseline_rank for one cell.
 
     `tables` maps valid-mask bytes to the neighbor table of that mask. It is
     filled in place, so calls that share one dict on the same grid and cfg
@@ -86,18 +91,6 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
             key = (float(rg.altitudes_m[hi]), float(rg.thresholds[kj]))
             entries[key] = (float(np.mean(errors)), len(errors)) if len(errors) else (np.nan, 0)
     return MAEReport(method, entries)
-
-
-def _predict_one(i, pos, layer, stacks, method, cfg, model) -> float:
-    """The per-cell reference of loo_evaluate's estimate for cell i; raises
-    ValueError where loo_evaluate skips the cell."""
-    if method == "kriging":
-        sol = krige_rank(pos[i], pos, layer, stacks, cfg, model, exclude=int(i))
-        return sol.estimate
-    neighbors = select_neighbors(pos[i], pos, cfg, exclude=int(i), valid=layer >= 0)
-    if len(neighbors) < 2:
-        raise ValueError("too few neighbors for a baseline interpolation")
-    return baseline_rank(float(i), neighbors, layer[neighbors], method)
 
 
 # ---------------------------------------------------------------------------

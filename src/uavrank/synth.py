@@ -128,24 +128,20 @@ def synthetic_rank_field(positions: np.ndarray, model: CorrelationModel,
     """
     vertical_rho = 0.9
     n_loc = len(positions)
+    # the cell cap and the grid's invariants are checked before any normal
+    # is drawn
+    check_field_cells(n_loc)
     altitudes = tuple(float(h) for h in altitudes_m)
     ks = tuple(float(k) for k in thresholds)
-
-    check_field_cells(n_loc)  # before the normals are drawn
+    rg = RankGrid(positions, altitudes, ks, np.zeros((len(altitudes), len(ks), n_loc), dtype=int),
+                  np.zeros(n_loc, dtype=int))
     # one normal vector for the first layer and one innovation per layer,
     # drawn in the order the chain consumes them
     normals = np.random.default_rng(seed).standard_normal((len(altitudes) + 1, n_loc))
     fields = correlated_field_factor(positions, model, normals)
     z = fields[0]
-    layers = []
-    for eps in fields[1:]:
-        layers.append(z.copy())
+    for ranks, eps in zip(rg.ranks, fields[1:]):
+        for ki, r in enumerate(ranks):
+            r[:] = np.clip(np.round(1.4 + z + 0.45 * ki), 1, 4)
         z = vertical_rho * z + np.sqrt(1.0 - vertical_rho**2) * eps
-
-    ranks = np.empty((len(altitudes), len(ks), n_loc), dtype=int)
-    for hi, zh in enumerate(layers):
-        for ki in range(len(ks)):
-            cont = 1.4 + zh + 0.45 * ki
-            ranks[hi, ki] = np.clip(np.round(cont), 1, 4).astype(int)
-    serving = np.zeros(n_loc, dtype=int)
-    return RankGrid(positions, altitudes, ks, ranks, serving)
+    return rg

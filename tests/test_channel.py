@@ -24,31 +24,31 @@ def _mat(entries):
 class TestSteeringVector:
     def test_first_element_is_unity(self):
         a = ArrayConfig(elements=4, spacing_wavelengths=0.5, axis=(0, 1, 0))
-        v = steering_vector(a, (0.6, 0.8, 0.0), 0.1)
+        v = steering_vector(a, (0.6, 0.8, 0.0))
         assert v[0] == pytest.approx(1.0 + 0j)
 
     def test_broadside_all_ones(self):
         a = ArrayConfig(elements=4, spacing_wavelengths=0.5, axis=(0, 1, 0))
-        v = steering_vector(a, (1.0, 0.0, 0.0), 0.1)  # orthogonal to the axis
+        v = steering_vector(a, (1.0, 0.0, 0.0))  # orthogonal to the axis
         assert np.allclose(v, np.ones(4))
 
     def test_phase_progression(self):
         # element k carries phase 2*pi*k*spacing*(axis . dir)
         a = ArrayConfig(elements=3, spacing_wavelengths=0.5, axis=(0, 1, 0))
         d = np.array([0.0, 0.6, 0.8])
-        v = steering_vector(a, d, 0.1)
+        v = steering_vector(a, d)
         expected = np.exp(2j * np.pi * 0.5 * 0.6 * np.arange(3))
         assert np.allclose(v, expected)
 
     def test_unit_magnitude(self):
         a = ArrayConfig(elements=8, spacing_wavelengths=0.7, axis=(1, 1, 0))
-        v = steering_vector(a, (0.0, 0.0, 1.0), 0.2)
+        v = steering_vector(a, (0.0, 0.0, 1.0))
         assert np.allclose(np.abs(v), 1.0)
 
     def test_rejects_non_unit_direction(self):
         a = ArrayConfig()
         with pytest.raises(ValueError):
-            steering_vector(a, (1.0, 1.0, 0.0), 0.1)
+            steering_vector(a, (1.0, 1.0, 0.0))
 
 
 class TestSynthesis:

@@ -15,7 +15,7 @@ from uavrank import evaluate, kriging
 from uavrank.baseline import baseline_rank, baseline_table
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import RankGrid, Z_RANK
-from uavrank.evaluate import METHODS, _predict_one, loo_evaluate
+from uavrank.evaluate import METHODS, loo_evaluate
 from uavrank.kriging import (
     KrigingConfig,
     _pair_distances,
@@ -59,6 +59,18 @@ def _layers(rg):
 def _varies(stacks):
     """The varies_over_altitude row of (n, N_h) altitude stacks."""
     return varies_over_altitude(np.asarray(stacks).T[:, None])[0]
+
+
+def _predict_one(i, pos, layer, stacks, method, cfg, model) -> float:
+    """The per-cell reference of loo_evaluate's estimate for cell i; raises
+    ValueError where loo_evaluate skips the cell."""
+    if method == "kriging":
+        sol = krige_rank(pos[i], pos, layer, stacks, cfg, model, exclude=int(i))
+        return sol.estimate
+    neighbors = select_neighbors(pos[i], pos, cfg, exclude=int(i), valid=layer >= 0)
+    if len(neighbors) < 2:
+        raise ValueError("too few neighbors for a baseline interpolation")
+    return baseline_rank(float(i), neighbors, layer[neighbors], method)
 
 
 def _oracle(rg, ki, layer, method, cfg, model):
