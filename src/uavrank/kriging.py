@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationModel, _distances
+from .scene import product_axes
 
 # Candidates past the M nearest that a k-nearest search returns, so that the
 # samples tied at the M-th distance (up to 8 on a square grid) come in one
@@ -26,6 +27,11 @@ _TIE_SLACK = 8
 # 2**13 entries (64 kB) is 18 systems at M = 20; the temporaries of a block
 # stay below 1 MB, so LOO adds little to the peak memory of a small grid.
 _SOLVE_ENTRIES = 2**13
+
+# Entries of a block of stencil rows that _stencil_table scans, or of
+# coordinate differences that _lattice compares, at once: 2**15 keeps each
+# temporary at 256 kB.
+_STENCIL_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,9 @@ class NeighborTable:
 
     Row t holds the `count[t]` neighbors of sample `targets[t]`, nearest
     first with ties to the lower index, and their horizontal distances; the
-    rest of the row is padding (index -1, distance 0).
+    rest of the row is padding (index -1, distance 0).  Both ways
+    neighbor_table builds it, from one stencil on a lattice and from k-d
+    searches elsewhere, give the same table.
     """
 
     targets: np.ndarray  # (T,) sample indices, ascending
@@ -174,11 +182,110 @@ class NeighborTable:
 
 def neighbor_table(sample_xy, valid, cfg: KrigingConfig) -> NeighborTable:
     """select_neighbors(sample_xy[i], sample_xy, cfg, exclude=i, valid=valid)
-    for every valid i, from k-nearest searches of one k-d tree over the
-    valid samples."""
+    for every valid i.
+
+    On a lattice (_lattice), a neighbor's distance depends only on its index
+    offset, so one stencil of offsets sorted as select_neighbors sorts serves
+    every target, and scipy is not loaded.  Any other positions take
+    k-nearest searches of one k-d tree over the valid samples.
+    """
+    sample_xy = np.asarray(sample_xy, dtype=float)
+    lattice = _lattice(sample_xy)
+    if lattice is None:
+        return _tree_table(sample_xy, valid, cfg)
+    return _stencil_table(*lattice, valid, cfg)
+
+
+def _lattice(xy):
+    """(xs, ys) of positions that form a lattice, None otherwise.
+
+    A lattice is a row-major product grid, x fastest, as grid_positions lays
+    it out (scene.product_axes), on which every coordinate difference depends
+    only on its index offset, bit for bit: each diagonal of
+    np.subtract.outer(xs, xs), and of ys, is constant.  Whole-metre grid
+    spacings give one; spacings such as 0.1 m do not.  The offsets of a
+    target's neighbors then fix their distances to it and between them.
+    """
+    axes = product_axes(xy)
+    if axes is None or not all(map(_equal_diagonals, axes)):
+        return None
+    return axes
+
+
+def _equal_diagonals(v) -> bool:
+    """Whether v[i + k] - v[i] depends on k only, bit for bit, tested a block
+    of rows of np.subtract.outer(v, v) at a time."""
+    step = max(1, _STENCIL_ENTRIES // len(v))
+    for lo in range(0, len(v) - 1, step):
+        d = np.subtract.outer(v[lo:lo + step + 1], v)
+        if not np.array_equal(d[1:, 1:], d[:-1, :-1]):
+            return False
+    return True
+
+
+def _stencil_table(xs, ys, valid, cfg: KrigingConfig) -> NeighborTable:
+    """neighbor_table on the lattice of axes xs and ys: every target takes the
+    first M stencil entries that fall on the grid and on a valid sample."""
+    nx, ny = len(xs), len(ys)
+    radius = cfg.r0_m + 1e-9
+    # xs[i + k] - xs[i] for k = -(nx - 1) .. nx - 1, the same for every i; an
+    # offset within r0 is within it on each axis
+    fx = np.concatenate([xs[0] - xs[:0:-1], xs - xs[0]])
+    fy = np.concatenate([ys[0] - ys[:0:-1], ys - ys[0]])
+    kx = np.flatnonzero(np.abs(fx) <= radius)
+    ky = np.flatnonzero(np.abs(fy) <= radius)[:, None]
+    dx, dy = fx[kx], fy[ky]
+    d = np.sqrt(dx * dx + dy * dy)  # as _tree_table computes each distance
+    ox, oy = np.broadcast_arrays(kx - (nx - 1), ky - (ny - 1))
+    flat = ox + nx * oy  # the index offset: lower is the lower index
+    keep = (d <= radius) & (flat != 0)
+    # nearest first, ties to the lower index, as select_neighbors sorts
+    order = np.lexsort((flat[keep], d[keep]))
+    s_x, s_y, s_flat, s_d = ox[keep][order], oy[keep][order], flat[keep][order], d[keep][order]
+
+    # the valid mask inside a border of False as wide as the stencil, so each
+    # entry of a target is one offset into it, on the grid or not
+    px, py = np.max(np.abs(s_x), initial=0), np.max(np.abs(s_y), initial=0)
+    wide = nx + 2 * px
+    inside = np.zeros((ny + 2 * py, wide), dtype=bool)
+    inside[py:py + ny, px:px + nx] = np.reshape(valid, (ny, nx))
+    inside, s_wide = inside.ravel(), s_x + wide * s_y
+    targets = np.flatnonzero(valid)
+    n = len(targets)
+    count = np.zeros(n, dtype=int)
+    width = min(cfg.M, max(n - 1, 0))  # no row holds more neighbors
+    index = np.full((n, width), -1)
+    dist = np.zeros((n, width))
+    at = (targets // nx + py) * wide + targets % nx + px
+    rows = np.arange(n if n > 1 and len(s_d) else 0)  # a lone sample has no neighbor
+    c = cfg.M
+    while len(rows):
+        # the first c stencil entries of each row, in blocks of bounded size;
+        # a row is complete when they hold M neighbors or are the whole stencil
+        c = min(c, len(s_d))
+        step = max(1, _STENCIL_ENTRIES // c)
+        left = []
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            ok = inside[at[r, None] + s_wide[:c]]
+            rank = np.cumsum(ok, axis=1)
+            done = (rank[:, -1] >= cfg.M) | (c == len(s_d))
+            rank, r_done = rank[done], r[done]
+            i, j = np.nonzero(ok[done] & (rank <= cfg.M))
+            t, slot = r_done[i], rank[i, j] - 1
+            index[t, slot] = targets[t] + s_flat[j]
+            dist[t, slot] = s_d[j]
+            count[r_done] = np.minimum(rank[:, -1], cfg.M)
+            left.append(r[~done])
+        rows, c = np.concatenate(left), 2 * c
+    return NeighborTable(targets, count, index, dist)
+
+
+def _tree_table(sample_xy, valid, cfg: KrigingConfig) -> NeighborTable:
+    """neighbor_table from k-nearest searches of one k-d tree over the valid
+    samples, for positions that are not a lattice."""
     from scipy.spatial import cKDTree
 
-    sample_xy = np.asarray(sample_xy, dtype=float)
     targets = np.flatnonzero(valid)
     pts = sample_xy[targets]
     n = len(targets)
@@ -233,8 +340,13 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, varies,
     weights, and on a regular grid most systems repeat.  The distinct systems
     of targets with equally many neighbors are solved stacked, every step in
     krige_rank's order so the estimates are equal to its, fallbacks included.
+
+    On a lattice (_lattice) the 2-D index offsets of a target's neighbors fix
+    those distances, so targets are first keyed by their offset pattern, and
+    only one target of each pattern has its distances computed and keyed.
     """
     sample_xy = np.asarray(sample_xy, dtype=float)
+    lattice = _lattice(sample_xy)
     layers = np.asarray(layer_values, dtype=float)
     est = np.full((len(layers), len(nt.targets)), np.nan)
     has = nt.count > 0
@@ -248,7 +360,17 @@ def krige_table(nt: NeighborTable, sample_xy, layer_values, varies,
         solve = np.array([v[nb].any(axis=1) for v in varies])  # (L, R)
         keep = solve.any(axis=0)
         rows, nb, solve = rows[keep], nb[keep], solve[:, keep]
-        system, w = _system_weights(sample_xy[nb], nt.dist[rows, :m], model)
+        first = pattern = np.arange(len(rows))  # off a lattice, each target alone
+        if lattice is not None:
+            # one int per neighbor offset (ox, oy), |ox| < nx, and one key of
+            # m of them per target
+            nx = len(lattice[0])
+            t = nt.targets[rows, None]
+            code = (nb % nx - t % nx) + (2 * nx - 1) * (nb // nx - t // nx)
+            key = code.view(np.dtype((np.void, code.itemsize * m)))[:, 0]
+            _, first, pattern = np.unique(key, return_index=True, return_inverse=True)
+        system, w = _system_weights(sample_xy[nb[first]], nt.dist[rows[first], :m], model)
+        system = system[pattern]
         ok = (np.all(np.isfinite(w), axis=1) & ~(np.abs(w.sum(axis=1) - 1.0) > 1e-6))[system]
         for e, layer, use in zip(est, layers, solve & ok):
             e[rows[use]] = np.matmul(w[system[use], None, :], layer[nb[use]][:, :, None])[:, 0, 0]

@@ -26,6 +26,10 @@ MAX_GRID_CELLS = 10**7
 # Arrays with more elements are rejected: every path's steering vectors and
 # every channel matrix grow with the element count.
 MAX_ARRAY_ELEMENTS = 1024
+# Lengths (extents, coordinates, heights, tree sizes and altitudes) above
+# this are rejected: 1000 km is far past any UAV link, and the tracer squares
+# and multiplies lengths, which overflows past about 1e150 m.
+MAX_LENGTH_M = 1e6
 
 
 class SceneError(ValueError):
@@ -39,6 +43,16 @@ def _check_finite(where: str, obj, names) -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise SceneError(f"{where}: {name} must be finite, got {value}")
+
+
+def _check_lengths(where: str, obj, names) -> None:
+    """SceneError unless each length field of `obj` in `names` is at most
+    MAX_LENGTH_M in size."""
+    for name in names:
+        value = getattr(obj, name)
+        if abs(value) > MAX_LENGTH_M:
+            raise SceneError(f"{where}: {name} must be at most {MAX_LENGTH_M:g} m in size, "
+                             f"got {value:g}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +142,7 @@ class Building:
         if not self.height > 0:
             raise SceneError(f"building height must be > 0, got {self.height}")
         _check_finite("building", self, ("x", "y", "w", "h", "height"))
+        _check_lengths("building", self, ("x", "y", "w", "h", "height"))
 
 
 @dataclass(frozen=True)
@@ -161,6 +176,8 @@ class Tree:
                              f"got {self.attenuation_db_per_m}")
         _check_finite("tree", self, ("x", "y", "trunk_height", "trunk_radius", "canopy_height",
                                      "canopy_base_radius", "attenuation_db_per_m"))
+        _check_lengths("tree", self, ("x", "y", "trunk_height", "trunk_radius", "canopy_height",
+                                      "canopy_base_radius"))
 
 
 @dataclass(frozen=True)
@@ -175,6 +192,7 @@ class Tower:
         if not self.height > 0:
             raise SceneError(f"tower {self.id}: height must be > 0")
         _check_finite(f"tower {self.id}", self, ("x", "y", "height"))
+        _check_lengths(f"tower {self.id}", self, ("x", "y", "height"))
 
     @property
     def position(self) -> np.ndarray:
@@ -221,6 +239,9 @@ class Scene:
         if not max(w / d, h / d) <= MAX_GRID_CELLS or np.prod(grid_shape(self)) > MAX_GRID_CELLS:
             raise SceneError(f"extent {w:g} x {h:g} m at grid spacing {d:g} m gives more "
                              f"than {MAX_GRID_CELLS} grid cells")
+        if max(w, h) > MAX_LENGTH_M:
+            raise SceneError(f"extent must be at most {MAX_LENGTH_M:g} m in size, "
+                             f"got {w:g} x {h:g} m")
         check_layer_axis("scene altitudes_m", self.altitudes_m)
         ids = [t.id for t in self.towers]
         if len(set(ids)) != len(ids):
@@ -258,6 +279,20 @@ def grid_shape(s: Scene) -> tuple[int, int]:
     return int(round(w / d)), int(round(h / d))
 
 
+def product_axes(positions: np.ndarray):
+    """(xs, ys) of (n, 2) positions laid out as grid_positions lays them out,
+    row-major with x fastest: position i is (xs[i % nx], ys[i // nx]).  None
+    for any other layout."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) == 0:
+        return None
+    nx = int(np.argmax(pos[:, 1] != pos[0, 1])) or len(pos)
+    xs, ys = pos[:nx, 0], pos[::nx, 1]
+    if not np.array_equal(pos, np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, nx)])):
+        return None
+    return xs, ys
+
+
 def json_numbers(value, what: str, ndim: int = 0):
     """The one test of a number read from outside: `value` itself if ndim is 0
     and it is a JSON number that a float holds (an int stays an int), or an
@@ -287,9 +322,9 @@ def json_numbers(value, what: str, ndim: int = 0):
 
 def check_layer_axis(what: str, values, thresholds: bool = False) -> None:
     """Raise SceneError unless `values` make a layer axis: one value or more,
-    all finite; altitudes > 0 and strictly increasing, thresholds > 1 and
-    distinct.  Values compare as floats, as a rank grid artifact reads them
-    back."""
+    all finite; altitudes > 0 and strictly increasing, and at most
+    MAX_LENGTH_M; thresholds > 1 and distinct.  Values compare as floats, as
+    a rank grid artifact reads them back."""
     v = [float(x) for x in values]
     if not v or not all(map(math.isfinite, v)):
         raise SceneError(f"{what} must be finite and non-empty, got {tuple(values)}")
@@ -301,6 +336,8 @@ def check_layer_axis(what: str, values, thresholds: bool = False) -> None:
         ok = v[0] > 0 and all(a < b for a, b in zip(v, v[1:]))
     if not ok:
         raise SceneError(f"{what} must be {rule}, got {tuple(values)}")
+    if not thresholds and v[-1] > MAX_LENGTH_M:
+        raise SceneError(f"{what} must be at most {MAX_LENGTH_M:g} m, got {tuple(values)}")
 
 
 @functools.cache

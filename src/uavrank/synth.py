@@ -11,7 +11,7 @@ import numpy as np
 
 from .correlation import CorrelationModel
 from .covermap import RankGrid
-from .scene import Scene, grid_positions
+from .scene import Scene, grid_positions, product_axes
 
 # Larger synthetic grids are rejected. The field itself holds only nx x nx
 # blocks, but `fit` on the rank grid it writes still builds dense n x n
@@ -40,10 +40,10 @@ def _grid_axes(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2 or len(pos) == 0:
         raise ValueError(f"positions must be a non-empty (n, 2) array, got shape {pos.shape}")
-    nx = int(np.argmax(pos[:, 1] != pos[0, 1])) or len(pos)
-    xs, ys = pos[:nx, 0], pos[::nx, 1]
-    if not np.array_equal(pos, np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, nx)])):
+    axes = product_axes(pos)
+    if axes is None:
         raise ValueError("positions are not a row-major grid of an x axis and a y axis")
+    xs, ys = axes
     # the covariance is block Toeplitz across the x-rows only when they are
     # equally spaced; steps equal to a relative 1e-9 count as equal
     steps = np.diff(ys)

@@ -150,10 +150,15 @@ assert scipy_modules() == [], scipy_modules()
     def test_interpolate_loads_no_scipy_interpolate(self, tmp_path):
         """In a fresh interpreter, the synth, fit and interpolate stages run
         every method without loading scipy.interpolate: the baselines are
-        numpy only."""
+        numpy only. On the synth grid, a lattice, interpolate loads no scipy
+        module at all; on the same grid with one x moved by 1e-9 m, off the
+        lattice, it loads scipy.spatial for its k-d tree."""
         script = f"""
-import sys
+import json, os, sys
 import uavrank.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 out = {str(tmp_path)!r}
 assert cli.main(["synth", "--out", out + "/synth", "--nx", "8", "--ny", "8"]) == 0
@@ -161,12 +166,21 @@ assert cli.main(["fit", "--rank-grid", out + "/synth", "--out", out + "/fit"]) =
 assert cli.main(["interpolate", "--rank-grid", out + "/synth", "--model",
                  out + "/fit/correlation_model.json", "--out", out + "/itp",
                  "--method", "all"]) == 0
+assert scipy_modules() == [], scipy_modules()
+doc = json.load(open(out + "/synth/rank_grid.json"))
+doc["positions"][0][0] += 1e-9
+os.makedirs(out + "/off")
+json.dump(doc, open(out + "/off/rank_grid.json", "w"))
+assert cli.main(["interpolate", "--rank-grid", out + "/off", "--model",
+                 out + "/fit/correlation_model.json", "--out", out + "/off-itp",
+                 "--method", "all"]) == 0
 assert "scipy.spatial" in sys.modules
 assert "scipy.interpolate" not in sys.modules
 """
         _run_fresh(script, tmp_path)
-        report = (tmp_path / "itp" / "mae_report.csv").read_text().splitlines()
-        assert {line.split(",")[0] for line in report[1:]} == {"kriging", "spline", "makima"}
+        for name in ("itp", "off-itp"):
+            report = (tmp_path / name / "mae_report.csv").read_text().splitlines()
+            assert {line.split(",")[0] for line in report[1:]} == {"kriging", "spline", "makima"}
 
 
 class TestSynthFitInterpolate:
@@ -794,6 +808,32 @@ def test_scene_values_at_the_edges_of_a_float(tmp_path, field, value):
             assert run.returncode == EXIT_INPUT, run.stderr
             assert len(err) == 1 and err[0].startswith("error:"), run.stderr
             assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, doc, text", [
+    (["rank", "--altitudes", "1e160"], {}, "--altitudes must be at most 1e+06 m"),
+    (["coverage", "--altitudes", "1e160"], {}, "--altitudes must be at most 1e+06 m"),
+    (["rank"], {"altitudes_m": [30, 1e160]}, "scene altitudes_m must be at most 1e+06 m"),
+    (["rank"], {"extent_m": [90, 2e6]}, "extent must be at most 1e+06 m in size"),
+    (["rank"], {"buildings": [{"x": -1e160, "y": 10, "w": 20, "h": 20, "height": 20,
+                               "material": "m"}]},
+     "building: x must be at most 1e+06 m in size"),
+    (["rank"], {"trees": [{"x": 60, "y": 30, "canopy_base_radius": 1e160}]},
+     "tree: canopy_base_radius must be at most 1e+06 m in size"),
+    (["coverage"], {"towers": [{"id": 1, "x": 45, "y": 75, "height": 1e160}]},
+     "tower 1: height must be at most 1e+06 m in size"),
+])
+def test_lengths_past_the_bound(tmp_path, capsys, argv, doc, text):
+    """An altitude, extent, coordinate, height or tree size above 1000 km,
+    where the tracer's products of lengths would overflow, ends in exit code
+    2 with one line and no out directory."""
+    (tmp_path / "scene.json").write_text(json.dumps({**PROBE_SCENE, **doc}))
+    out = tmp_path / "o"
+    rc = main([*argv, "--scene", str(tmp_path / "scene.json"), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == EXIT_INPUT
+    assert len(err) == 1 and err[0].startswith("error:") and text in err[0], err
+    assert not out.exists()
 
 
 class TestWriteAll:

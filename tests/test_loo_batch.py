@@ -26,6 +26,7 @@ from uavrank.kriging import (
     select_neighbors,
     varies_over_altitude,
 )
+from uavrank.scene import Scene, grid_positions
 from uavrank.synth import synthetic_grid_positions, synthetic_rank_field
 
 MODEL = CorrelationModel(0.2932, -0.0508, 0.7057, -0.001, rmse=0.0)
@@ -381,8 +382,12 @@ def _geometry(pos, nt, t):
 def _assert_table_equals_krige_rank(pos, layer, stacks, cfg):
     nt = neighbor_table(pos, layer >= 0, cfg)
     est = krige_table(nt, pos, layer[None], _varies(stacks)[None], MODEL)[0]
-    ref = [krige_rank(pos[i], pos, layer, stacks, cfg, MODEL, exclude=int(i)).estimate
-           for i in nt.targets]
+    ref = []
+    for i in nt.targets:
+        try:
+            ref.append(krige_rank(pos[i], pos, layer, stacks, cfg, MODEL, exclude=int(i)).estimate)
+        except ValueError:  # no neighbor within r0: krige_table's NaN
+            ref.append(np.nan)
     np.testing.assert_array_equal(est, ref)
 
 
@@ -429,9 +434,11 @@ class TestDistinctSystems:
     def test_neighbor_distances_computed_once_per_target(self, monkeypatch, jitter, rows,
                                                         solves):
         # the synth-loo input, and the same field with its positions moved by
-        # U(-6, 6) m, where no two targets share a system: every target that
-        # needs a system has its neighbors' pair distances computed once, to
-        # find its system and to solve it
+        # U(-6, 6) m, where no two targets share a system. Off a lattice,
+        # every target that needs a system has its neighbors' pair distances
+        # computed once, to find its system and to solve it; on the synth-loo
+        # lattice, once per distinct pattern of 2-D neighbor offsets among
+        # those targets
         rg = synthetic_rank_field(synthetic_grid_positions(36, 71, 30.0), MODEL,
                                   (30.0, 70.0, 110.0), (100.0,), seed=0)
         pos = rg.positions + np.random.default_rng(0).uniform(-jitter, jitter,
@@ -451,7 +458,16 @@ class TestDistinctSystems:
         solved = _record_solves(monkeypatch)
         varies = np.broadcast_to(_varies(rg.ranks[:, 0, :].T), (3, 2556))
         krige_table(nt, pos, rg.ranks[:, 0, :].astype(float), varies, MODEL)
-        assert sum(counted) == rows
+        if jitter == 0.0:
+            patterns = set()
+            for i, row, c, need in zip(nt.targets, nt.index, nt.count, needed):
+                if need:
+                    nb = row[:c]
+                    patterns.add((nb % 36 - i % 36).tobytes() + (nb // 36 - i // 36).tobytes())
+            assert 0 < len(patterns) < rows
+            assert sum(counted) == len(patterns)
+        else:
+            assert sum(counted) == rows
         assert len(solved) == len(set(solved)) == solves
 
     def test_position_one_ulp_off_grid(self):
@@ -529,3 +545,109 @@ class TestDistinctSystems:
             np.testing.assert_array_equal(row, _oracle(rg, ki, layer, "kriging", cfg, MODEL))
             key = rg.altitudes_m[hi], rg.thresholds[ki]
             assert rep.entries[key] == (float(np.mean(np.abs(layer - row))), 63)
+
+
+# every difference of their multiples is exact
+EXACT_SPACINGS = (30.0, 10.0, 12.5, 0.5)
+# differences of their multiples round apart from 4 points on
+INEXACT_SPACINGS = (0.1, 7.3, 1.0 / 3.0)
+
+
+def _lattice_positions(nx, ny, spacing, origin):
+    """origin + spacing * index on each axis, laid out as grid_positions."""
+    gx, gy = np.meshgrid(origin + spacing * np.arange(nx), origin + spacing * np.arange(ny))
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _lattice_case(seed):
+    """A seeded grid of 1 to 40 cells a side, valid mask and config, and
+    whether the grid is off the lattice; every third seed has an inexact
+    spacing."""
+    rng = np.random.default_rng(seed)
+    nx, ny = (int(v) for v in rng.integers(1, 41, size=2))
+    spacing = float(rng.choice(INEXACT_SPACINGS if seed % 3 == 2 else EXACT_SPACINGS))
+    pos = _lattice_positions(nx, ny, spacing, float(rng.choice([0.0, 1e6, -1e6])))
+    valid = rng.random(nx * ny) < rng.choice([1.0, 0.9, 0.5, 0.1, 0.0])
+    cfg = KrigingConfig(M=int(rng.choice([1, 3, 8, 20, 50])),
+                        r0_m=float(rng.choice([1e-3, 30.0, 45.0, 150.0, 1e4])))
+    return pos, valid, cfg, spacing in INEXACT_SPACINGS and max(nx, ny) >= 4
+
+
+def _random_layer(valid, seed):
+    """Ranks in [1, 4] on the valid cells, and stacks over three altitudes of
+    which a quarter are constant."""
+    rng = np.random.default_rng(seed)
+    layer = np.where(valid, rng.integers(1, 5, len(valid)), Z_RANK).astype(float)
+    stacks = rng.integers(1, 5, size=(len(valid), 3)).astype(float)
+    stacks[rng.random(len(valid)) < 0.25] = 2.0
+    return layer, stacks
+
+
+def _one_x_one_ulp_east(pos):
+    pos = pos.copy()
+    pos[31, 0] = np.nextafter(pos[31, 0], np.inf)
+    return pos
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The names of the neighbor_table paths called from now on."""
+    calls = []
+    for name in ("_stencil_table", "_tree_table"):
+        def spy(*args, _real=getattr(kriging, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(kriging, name, spy)
+    return calls
+
+
+class TestLattice:
+    """On a lattice, neighbor_table scans one sorted stencil of offsets and
+    krige_table keys targets by their neighbors' offsets; any other
+    positions take the k-d tree. Both give what select_neighbors and
+    krige_rank give for each target."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_table_equals_tree_table_and_select_neighbors(self, seed, paths, monkeypatch):
+        pos, valid, cfg, off_lattice = _lattice_case(seed)
+        if seed % 2:
+            # blocks of a few rows: each scan of the stencil, and the
+            # lattice test, splits into many
+            monkeypatch.setattr(kriging, "_STENCIL_ENTRIES", 97)
+        nt = neighbor_table(pos, valid, cfg)
+        assert paths == ["_tree_table" if off_lattice else "_stencil_table"]
+        ref = kriging._tree_table(pos, valid, cfg)
+        for name in ("targets", "count", "index", "dist"):
+            got, want = getattr(nt, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        _assert_rows_equal_select_neighbors(pos, valid, cfg)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_krige_table_equals_krige_rank(self, seed):
+        pos, valid, cfg, _ = _lattice_case(seed)
+        _assert_table_equals_krige_rank(pos, *_random_layer(valid, seed), cfg)
+
+    @pytest.mark.parametrize("variant", [
+        _one_x_one_ulp_east,
+        lambda pos: pos[np.random.default_rng(3).permutation(len(pos))],
+        lambda pos: pos.reshape(7, 9, 2).transpose(1, 0, 2).reshape(-1, 2),
+    ], ids=["one-ulp-off", "permuted", "column-major"])
+    def test_off_lattice_positions_take_tree_path(self, variant, paths):
+        pos = variant(_lattice_positions(9, 7, 30.0, 0.0))
+        assert kriging._lattice(pos) is None
+        layer, stacks = _random_layer(np.random.default_rng(5).random(63) < 0.9, 7)
+        cfg = KrigingConfig(M=8, r0_m=75.0)
+        _assert_rows_equal_select_neighbors(pos, layer >= 0, cfg)
+        assert paths == ["_tree_table"]
+        _assert_table_equals_krige_rank(pos, layer, stacks, cfg)
+
+    @pytest.mark.parametrize("spacing", [30.0, 10.0, 1.0])
+    def test_cli_grids_are_lattices(self, spacing):
+        # grid_positions at a whole-metre spacing, as the CLI writes them
+        pos = grid_positions(Scene(extent_m=(1080.0, 2130.0), grid_spacing_m=spacing,
+                                   altitudes_m=(30.0,)))
+        xs, ys = kriging._lattice(pos)
+        np.testing.assert_array_equal(xs, spacing * np.arange(round(1080.0 / spacing)))
+        np.testing.assert_array_equal(ys, spacing * np.arange(round(2130.0 / spacing)))
