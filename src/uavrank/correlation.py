@@ -6,12 +6,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .covermap import RankGrid, Z_RANK
-from .scene import json_numbers, parse_json
+from .scene import parse_json, read_fields
 
 DEFAULT_MAX_DISTANCE_M = 500.0
 
@@ -56,15 +56,7 @@ class CorrelationModel:
     def from_json(cls, text: str) -> "CorrelationModel":
         """The model of a JSON object whose keys are the field names: a key
         it lacks takes the field's default, or is an error without one."""
-        d = parse_json(text, "correlation model")
-        values = {}
-        for f in fields(cls):
-            if f.name in d:
-                what = f"correlation model key {f.name!r}"
-                values[f.name] = float(json_numbers(d[f.name], what))
-            elif f.default is MISSING:
-                raise ValueError(f"correlation model missing key {f.name!r}")
-        return cls(**values)
+        return read_fields(cls, parse_json(text, "correlation model"), "correlation model")
 
 
 def evaluate_model(coeffs, distance_m):
@@ -151,11 +143,11 @@ def bin_correlations(vectors, positions, d_rx: float,
     return ns * d_rx, sums[present] / counts[present], counts[present]
 
 
-def _distances(a, b, out=None) -> np.ndarray:
+def _distances(a, b) -> np.ndarray:
     """The distances (..., p, q) from each point of a (..., p, 2) to each of
     b (..., q, 2) as scipy's cdist computes them, sqrt(dx*dx + dy*dy), built
-    in place (in `out` when given)."""
-    d = np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=out)
+    in place."""
+    d = a[..., :, None, 0] - b[..., None, :, 0]
     dy = a[..., :, None, 1] - b[..., None, :, 1]
     d *= d
     dy *= dy

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .channel import DEFAULT_THRESHOLD_RATIOS, channel_ranks, rss_dbm, synthesize_channels
 from .raytrace import trace_paths
-from .scene import (ArrayConfig, Scene, Tower, check_layer_axis, grid_positions,
-                    json_numbers, parse_json)
+from .scene import (MAX_MAGNITUDE, ArrayConfig, Scene, Tower, check_layer_axis,
+                    grid_positions, parse_json, read_fields)
 
 # Per-link channel functions, which the sweeps do not call; bound here because
 # bench/tracing.py wraps them by their covermap names.
@@ -51,17 +52,17 @@ class CoverageGrid:
 
 @dataclass(frozen=True)
 class RankGrid:
-    """Rank per (altitude, K, grid cell). Invariants, checked on construction
-    as rank_grid_from_json reads them back, so every grid round-trips through
-    rank_grid_to_json: positions (N_loc, 2), ranks (N_h, N_K, N_loc) and
-    serving_tower (N_loc,); altitudes and thresholds are layer axes
-    (scene.check_layer_axis); every rank is >= Z_RANK."""
+    """Rank per (altitude, K, grid cell), read by its annotations. Invariants,
+    checked on construction, so every grid round-trips through
+    rank_grid_to_json: positions (N_loc, 2) within MAX_MAGNITUDE, ranks
+    (N_h, N_K, N_loc) and serving_tower (N_loc,); altitudes and thresholds
+    are layer axes (scene.check_layer_axis); every rank is >= Z_RANK."""
 
-    positions: np.ndarray  # (N_loc, 2)
-    altitudes_m: tuple  # (N_h,)
-    thresholds: tuple  # (N_K,) threshold ratio constants K
-    ranks: np.ndarray  # int, shape (N_h, N_K, N_loc), Z_RANK for out-of-coverage
-    serving_tower: np.ndarray  # tower id per grid index
+    positions: Annotated[np.ndarray, 2]  # (N_loc, 2)
+    altitudes_m: tuple[float, ...]  # (N_h,)
+    thresholds: tuple[float, ...]  # (N_K,) threshold ratio constants K
+    ranks: Annotated[np.ndarray, 3, int]  # (N_h, N_K, N_loc), Z_RANK for out-of-coverage
+    serving_tower: Annotated[np.ndarray, 1, int]  # tower id per grid index
 
     def __post_init__(self):
         n_loc = len(self.positions)
@@ -74,6 +75,9 @@ class RankGrid:
             shape = np.shape(getattr(self, name))
             if shape != want:
                 raise ValueError(f"rank grid {name} has shape {shape}, expected {want}")
+        if not np.all(np.abs(self.positions) <= MAX_MAGNITUDE):
+            raise ValueError(f"rank grid positions must be at most {MAX_MAGNITUDE:g} m "
+                             f"in size, got {np.max(np.abs(self.positions)):g}")
         check_layer_axis("rank grid altitudes_m", self.altitudes_m)
         check_layer_axis("rank grid thresholds", self.thresholds, thresholds=True)
         if np.any(self.ranks < Z_RANK):
@@ -237,20 +241,7 @@ def rank_grid_to_json(rg: RankGrid) -> str:
 
 
 def rank_grid_from_json(text: str) -> RankGrid:
-    d = parse_json(text, "rank grid")
-    # integer fields are read as floats: a fraction is rejected, not truncated
-    a = {}
-    for name, ndim in (("positions", 2), ("altitudes_m", 1), ("thresholds", 1),
-                       ("ranks", 3), ("serving_tower", 1)):
-        if name not in d:
-            raise ValueError(f"rank grid missing key {name!r}")
-        a[name] = json_numbers(d[name], f"rank grid {name}", ndim)
-    for name in ("ranks", "serving_tower"):
-        if not np.all((np.abs(a[name]) < 2.0**63) & (a[name] == np.round(a[name]))):
-            raise ValueError(f"rank grid {name} must hold 64-bit integers")
-    return RankGrid(a["positions"], tuple(a["altitudes_m"].tolist()),
-                    tuple(a["thresholds"].tolist()), a["ranks"].astype(int),
-                    a["serving_tower"].astype(int))
+    return read_fields(RankGrid, parse_json(text, "rank grid"), "rank grid")
 
 
 def grid_to_pgm(g: CoverageGrid, nx: int, ny: int) -> bytes:

@@ -11,6 +11,7 @@ from .baseline import baseline_table
 from .correlation import CorrelationModel
 from .covermap import RankGrid, Z_RANK
 from .kriging import KrigingConfig, krige_table, neighbor_table, varies_over_altitude
+from .scene import MAX_MAGNITUDE
 
 # Per-target references, which loo_evaluate does not call; bound here because
 # bench/tracing.py wraps them by their evaluate names.
@@ -108,12 +109,14 @@ class Trace:
     kind: str = "rss_dbm"
 
     def __post_init__(self):
-        t = np.asarray(self.t_s, dtype=float)
-        if np.any(np.diff(t) < 0):
+        for name in ("t_s", "positions", "values"):
+            column = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.abs(column) <= MAX_MAGNITUDE):
+                raise ValueError(f"trace {name} must be at most {MAX_MAGNITUDE:g} in size, "
+                                 f"got {np.max(np.abs(column)):g}")
+            object.__setattr__(self, name, column)
+        if np.any(np.diff(self.t_s) < 0):
             raise ValueError("trace timestamps must be non-decreasing")
-        object.__setattr__(self, "t_s", t)
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     def to_csv(self) -> str:
         lines = [f"t_s,x_m,y_m,z_m,{self.kind}"]
@@ -160,6 +163,9 @@ class Trace:
 
 OFFSET_GRID_DB = np.round(np.arange(-500, 501) * 0.1, 1)
 JOIN_WINDOW_S = 0.05
+# Offset x sample errors squared in one block of calibrate_offset: 2**15
+# values (256 kB) bound its temporaries whatever the traces' length
+_OFFSET_BLOCK_VALUES = 2**15
 
 
 def align_traces(measured: Trace, simulated: Trace):
@@ -185,7 +191,11 @@ def calibrate_offset(measured: Trace, simulated: Trace) -> tuple[float, float]:
     if len(m) == 0:
         raise ValueError("no overlapping samples between the traces")
     diffs = m - s
-    rmse = np.sqrt(np.mean((diffs[None, :] - OFFSET_GRID_DB[:, None]) ** 2, axis=1))
+    # each offset's mean reduces its own row alone, so blocking changes no bit
+    block = max(1, _OFFSET_BLOCK_VALUES // len(diffs))
+    grid = OFFSET_GRID_DB[:, None]
+    rmse = np.sqrt(np.concatenate([np.mean((diffs - grid[lo:lo + block]) ** 2, axis=1)
+                                   for lo in range(0, len(grid), block)]))
     best = rmse.min()
     candidates = np.nonzero(rmse <= best + 1e-12)[0]
     pick = candidates[np.argmin(np.abs(OFFSET_GRID_DB[candidates]))]

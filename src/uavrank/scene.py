@@ -30,6 +30,9 @@ MAX_ARRAY_ELEMENTS = 1024
 # this are rejected: 1000 km is far past any UAV link, and the tracer squares
 # and multiplies lengths, which overflows past about 1e150 m.
 MAX_LENGTH_M = 1e6
+# Rank-grid coordinates and trace numbers above this in size are rejected: UTM
+# coordinates pass, and the fit's, Kriging's and calibration's squares stay finite.
+MAX_MAGNITUDE = 1e12
 
 
 class SceneError(ValueError):
@@ -47,10 +50,10 @@ def _check_finite(where: str, obj, names) -> None:
 
 def _check_lengths(where: str, obj, names) -> None:
     """SceneError unless each length field of `obj` in `names` is at most
-    MAX_LENGTH_M in size."""
+    MAX_LENGTH_M in size, which no NaN or infinity is."""
     for name in names:
         value = getattr(obj, name)
-        if abs(value) > MAX_LENGTH_M:
+        if not abs(value) <= MAX_LENGTH_M:
             raise SceneError(f"{where}: {name} must be at most {MAX_LENGTH_M:g} m in size, "
                              f"got {value:g}")
 
@@ -141,7 +144,6 @@ class Building:
             )
         if not self.height > 0:
             raise SceneError(f"building height must be > 0, got {self.height}")
-        _check_finite("building", self, ("x", "y", "w", "h", "height"))
         _check_lengths("building", self, ("x", "y", "w", "h", "height"))
 
 
@@ -162,20 +164,14 @@ class Tree:
     attenuation_db_per_m: float = 1.0
 
     def __post_init__(self):
-        for name in (
-            "trunk_height",
-            "trunk_radius",
-            "canopy_height",
-            "canopy_base_radius",
-        ):
+        for name in ("trunk_height", "trunk_radius", "canopy_height", "canopy_base_radius"):
             if not getattr(self, name) > 0:
                 raise SceneError(f"tree {name} must be > 0")
         # a negative dB/m would make a canopy amplify the path
         if not self.attenuation_db_per_m >= 0:
             raise SceneError(f"tree attenuation_db_per_m must be >= 0, "
                              f"got {self.attenuation_db_per_m}")
-        _check_finite("tree", self, ("x", "y", "trunk_height", "trunk_radius", "canopy_height",
-                                     "canopy_base_radius", "attenuation_db_per_m"))
+        _check_finite("tree", self, ("attenuation_db_per_m",))
         _check_lengths("tree", self, ("x", "y", "trunk_height", "trunk_radius", "canopy_height",
                                       "canopy_base_radius"))
 
@@ -191,7 +187,6 @@ class Tower:
     def __post_init__(self):
         if not self.height > 0:
             raise SceneError(f"tower {self.id}: height must be > 0")
-        _check_finite(f"tower {self.id}", self, ("x", "y", "height"))
         _check_lengths(f"tower {self.id}", self, ("x", "y", "height"))
 
     @property
@@ -342,22 +337,24 @@ def check_layer_axis(what: str, values, thresholds: bool = False) -> None:
 
 @functools.cache
 def _schema(cls) -> tuple:
-    """(field, annotation as a type) of each field of a scene dataclass, in
-    field order: the dataclasses are the one statement of a scene document's
-    keys, types and defaults."""
-    hints = typing.get_type_hints(cls)
+    """(field, annotation as a type, its Annotated metadata kept) of each
+    field of a dataclass, in field order: the dataclasses are the one
+    statement of a JSON document's keys, types and defaults."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     return tuple((f, hints[f.name]) for f in fields(cls))
 
 
-def _read(cls, obj: dict, where: str, materials=None, **given):
+def read_fields(cls, obj: dict, where: str, materials=None, **given):
     """cls built from the JSON object `obj`, one field at a time in field
     order, each read by its annotation; the fields in `given` are taken as
     they are.  A key `obj` lacks takes the field's default, or is a
     missing-field error without one.  float fields come back as float, int
-    fields as int (a fraction is rejected), arrays as the tuple of their
-    values as given (an int stays an int, as artifacts copy them), a
-    dataclass field as a nested object, and a Material as a name in
-    `materials`.  `null` is no field's value."""
+    fields as int (a fraction is rejected), tuples as the tuple of their
+    values as given (an int stays an int, as artifacts copy them),
+    `Annotated[np.ndarray, ndim]` as a float array, `Annotated[np.ndarray,
+    ndim, int]` as an int array of 64-bit integers, a dataclass field as a
+    nested object, and a Material as a name in `materials`.  `null` is no
+    field's value."""
     kwargs = dict(given)
     for f, hint in _schema(cls):
         key = f.name
@@ -389,10 +386,16 @@ def _read(cls, obj: dict, where: str, materials=None, **given):
                 raise SceneError(f"{what} must be an array of {size}numbers, got {value!r}")
             json_numbers(value, what, ndim=1)
             kwargs[key] = tuple(value)
+        elif typing.get_origin(hint) is typing.Annotated:  # an ndarray
+            ndim, *integer = hint.__metadata__
+            array = json_numbers(value, what, ndim)
+            if integer and not np.all((np.abs(array) < 2.0**63) & (array == np.round(array))):
+                raise SceneError(f"{what} must hold 64-bit integers")
+            kwargs[key] = array.astype(int) if integer else array
         else:  # a nested object (a tower's array)
             if not isinstance(value, dict):
                 raise SceneError(f"{what} must be a JSON object")
-            kwargs[key] = _read(hint, value, where)
+            kwargs[key] = read_fields(hint, value, where)
     return cls(**kwargs)
 
 
@@ -434,14 +437,14 @@ def load_scene(text: str) -> Scene:
     doc = parse_json(text, "scene")
     materials = dict(BUILTIN_MATERIALS)
     for i, obj in enumerate(_objects(doc, "materials")):
-        m = _read(Material, obj, f"materials[{i}]")
+        m = read_fields(Material, obj, f"materials[{i}]")
         materials[m.name] = m
     ground = _material(materials, doc.get("ground_material", Scene.ground_material.name),
                        "ground_material")
-    nested = {key: tuple(_read(cls, obj, f"{key}[{i}]", materials)
+    nested = {key: tuple(read_fields(cls, obj, f"{key}[{i}]", materials)
                          for i, obj in enumerate(_objects(doc, key)))
               for key, cls in (("buildings", Building), ("trees", Tree), ("towers", Tower))}
-    return _read(Scene, doc, "scene", ground_material=ground, **nested)
+    return read_fields(Scene, doc, "scene", ground_material=ground, **nested)
 
 
 def serialize_scene(s: Scene) -> str:

@@ -14,9 +14,9 @@ from .covermap import RankGrid
 from .scene import Scene, grid_positions, product_axes
 
 # Larger synthetic grids are rejected. The field itself holds only nx x nx
-# blocks, but `fit` on the rank grid it writes still builds dense n x n
-# correlation and distance matrices (bin_correlations), about 0.5 GB each at
-# 8192 cells.
+# blocks, but `fit` on the rank grid it writes still builds a dense n x n
+# correlation matrix (bin_correlations, whose distances come a block of rows
+# at a time), about 0.5 GB at 8192 cells.
 MAX_FIELD_CELLS = 8192
 
 

@@ -434,7 +434,12 @@ class TestMalformedArtifacts:
         grid = dict(self.GRID, **{field: value})
         (tmp_path / "rank_grid.json").write_text(json.dumps(grid))
         rc = main(["fit", "--rank-grid", str(tmp_path), "--out", str(tmp_path / "fit")])
-        self._assert_input_error(rc, capsys, text)
+        # a value the reader refuses is named as the scene reader names it
+        # ("rank grid field 'ranks' must hold ..."); RankGrid's invariants
+        # name the field bare ("rank grid ranks has shape ...")
+        if " must hold " in text:
+            text = f"field {field!r}{text[len(field):]}"
+        self._assert_input_error(rc, capsys, f"rank grid {text}")
 
     @pytest.mark.parametrize("field, value, ranks", [
         ("altitudes_m", [30.0, 30.0], [[[1, 2]], [[1, 2]]]),
@@ -470,7 +475,7 @@ class TestMalformedArtifacts:
         model.write_text(json.dumps({"c1": 0.3, "c2": -0.05, "c3": 0.7, "rmse": 0.0}))
         rc = main(["interpolate", "--rank-grid", str(synth_out), "--model", str(model),
                    "--out", str(tmp_path / "o")])
-        self._assert_input_error(rc, capsys, "missing key 'c4'")
+        self._assert_input_error(rc, capsys, "correlation model missing field 'c4'")
 
     def test_scene_buildings_object(self, tmp_path, capsys):
         bad = tmp_path / "scene.json"
@@ -550,7 +555,9 @@ class TestMalformedArtifacts:
                                      "rmse": 0.0}))
         rc = main(["interpolate", "--rank-grid", str(synth_out), "--model", str(model),
                    "--out", str(tmp_path / "o")])
-        self._assert_input_error(rc, capsys, text)
+        # `text` names the document's key; the reader reports it as a field,
+        # in the scene reader's words
+        self._assert_input_error(rc, capsys, "correlation " + text.replace("key", "field", 1))
 
     @pytest.mark.parametrize("empty", ["", "t_s,x_m,y_m,z_m,rss_dbm\n"])
     def test_trace_without_samples(self, tmp_path, capsys, empty):
@@ -663,6 +670,35 @@ class TestMalformedArtifacts:
             "calibrate": (["calibrate", "--measured", str(tmp_path / "meas.csv"),
                            "--simulated", str(tmp_path / "sim.csv")],
                           "cannot calibrate a 'rss_dbm' trace against a 'rank' trace"),
+        }[stage]
+        out = tmp_path / "o"
+        rc = main(argv + ["--out", str(out)])
+        self._assert_input_error(rc, capsys, text)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["fit", "kriging", "calibrate t_s", "calibrate values"])
+    def test_numbers_past_the_bound(self, small_grid, tmp_path, capsys, stage):
+        # a rank grid moved 1e160-fold and traces at +-1e308 s or 1e200 dBm:
+        # their squares would overflow in the fit's and Kriging's distances
+        # and in the calibration
+        grid = json.loads((small_grid / "rank_grid.json").read_text())
+        grid["positions"] = [[x * 1e160, y * 1e160] for x, y in grid["positions"]]
+        (tmp_path / "rank_grid.json").write_text(json.dumps(grid))
+        (tmp_path / "t.csv").write_text("t_s,x_m,y_m,z_m,rss_dbm\n-1e308,0,0,30,-60\n"
+                                        "1e308,0,0,30,-61\n")
+        (tmp_path / "v.csv").write_text("t_s,x_m,y_m,z_m,rss_dbm\n0,0,0,30,1e200\n")
+        (tmp_path / "sim.csv").write_text("t_s,x_m,y_m,z_m,rss_dbm\n0,0,0,30,-60\n")
+        argv, text = {
+            "fit": (["fit", "--rank-grid", str(tmp_path)], "rank grid positions must be at most"),
+            "kriging": (["interpolate", "--rank-grid", str(tmp_path), "--model",
+                         str(small_grid / "correlation_model.json"), "--method", "kriging"],
+                        "rank grid positions must be at most"),
+            "calibrate t_s": (["calibrate", "--measured", str(tmp_path / "t.csv"),
+                               "--simulated", str(tmp_path / "sim.csv")],
+                              "trace t_s must be at most 1e+12 in size, got 1e+308"),
+            "calibrate values": (["calibrate", "--measured", str(tmp_path / "v.csv"),
+                                  "--simulated", str(tmp_path / "sim.csv")],
+                                 "trace values must be at most 1e+12 in size, got 1e+200"),
         }[stage]
         out = tmp_path / "o"
         rc = main(argv + ["--out", str(out)])

@@ -8,6 +8,7 @@ from uavrank.covermap import (
     JOINT,
     Z_RANK,
     CoverageGrid,
+    RankGrid,
     cdf_to_csv,
     compute_coverage,
     compute_rank_grid,
@@ -22,6 +23,7 @@ from uavrank.covermap import (
 from uavrank.raytrace import trace_paths
 from uavrank.scene import (
     BUILTIN_MATERIALS,
+    MAX_MAGNITUDE,
     ArrayConfig,
     Building,
     Scene,
@@ -197,6 +199,32 @@ class TestRankGrid:
         assert rg2.thresholds == rg.thresholds
         assert np.array_equal(rg2.ranks, rg.ranks)
         assert np.array_equal(rg2.serving_tower, rg.serving_tower)
+
+    def test_json_axes_keep_ints(self):
+        # as a scene's axes do: an int of the document stays an int
+        doc = ('{"positions": [[0, 0]], "altitudes_m": [30, 70.5], "thresholds": [10], '
+               '"ranks": [[[1]], [[2]]], "serving_tower": [1]}')
+        rg = rank_grid_from_json(doc)
+        assert rg.altitudes_m == (30, 70.5) and type(rg.altitudes_m[0]) is int
+        assert rg.thresholds == (10,) and type(rg.thresholds[0]) is int
+        assert rg.positions.dtype == float and rg.ranks.dtype.kind == "i"
+        assert np.array_equal(rg.layer(30.0, 10.0), [1])
+
+    @pytest.mark.parametrize("x, ok", [(4.4e6, True), (MAX_MAGNITUDE, True),
+                                       (-MAX_MAGNITUDE, True), (1.5 * MAX_MAGNITUDE, False),
+                                       (-1e160, False), (np.nan, False)])
+    def test_coordinates_are_bounded(self, x, ok):
+        # projected coordinates (a UTM northing) pass; squares past the bound
+        # would overflow the fit's and Kriging's distances
+        def grid():
+            return RankGrid(np.array([[0.0, 0.0], [30.0, x]]), (30.0,), (10.0,),
+                            np.ones((1, 1, 2), dtype=int), np.ones(2, dtype=int))
+        if ok:
+            assert np.array_equal(rank_grid_from_json(rank_grid_to_json(grid())).positions,
+                                  grid().positions)
+        else:
+            with pytest.raises(ValueError, match="rank grid positions must be at most 1e"):
+                grid()
 
 
 class TestCsvExport:

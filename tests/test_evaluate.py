@@ -6,8 +6,10 @@ import pytest
 from uavrank.baseline import baseline_rank
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import RankGrid, Z_RANK
+from uavrank import evaluate
 from uavrank.evaluate import (
     JOIN_WINDOW_S,
+    OFFSET_GRID_DB,
     MAEReport,
     Trace,
     align_traces,
@@ -17,6 +19,7 @@ from uavrank.evaluate import (
     rank_histogram,
 )
 from uavrank.kriging import KrigingConfig, krige_rank, select_neighbors
+from uavrank.scene import MAX_MAGNITUDE
 
 MODEL = CorrelationModel(0.2932, -0.0508, 0.7057, -0.001, rmse=0.0)
 CFG = KrigingConfig(M=20, r0_m=150.0)
@@ -110,6 +113,24 @@ class TestTrace:
         with pytest.raises(ValueError):
             _trace([0.2, 0.1], [-50.0, -51.0])
 
+    @pytest.mark.parametrize("column, t, x, values", [
+        ("t_s", [-1e308, 1e308], 0.0, [-50.0, -51.0]),
+        ("t_s", [0.0, 1.5 * MAX_MAGNITUDE], 0.0, [-50.0, -51.0]),
+        ("positions", [0.0, 1.0], -1e13, [-50.0, -51.0]),
+        ("values", [0.0, 1.0], 0.0, [1e200, -51.0]),
+        ("values", [0.0, 1.0], 0.0, [-50.0, np.nan]),
+    ])
+    def test_numbers_are_bounded(self, column, t, x, values):
+        # past the bound, np.diff of the timestamps and the calibration's
+        # squared errors overflow
+        with pytest.raises(ValueError, match=f"trace {column} must be at most 1e"):
+            Trace(t, [[x, 0.0, 30.0]] * 2, values)
+
+    def test_numbers_at_the_bound_pass(self):
+        big = MAX_MAGNITUDE
+        tr = Trace([-big, big], [[big, -big, 30.0]] * 2, [big, -big])
+        assert tr.values[0] == big and tr.positions[0, 0] == big
+
 
 class TestAlign:
     def test_nearest_sample_join(self):
@@ -157,6 +178,23 @@ class TestCalibrate:
     def test_no_overlap_raises(self):
         with pytest.raises(ValueError):
             calibrate_offset(_trace([0.0], [-50.0]), _trace([9.0], [-40.0]))
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 129, 1000, 40000])
+    def test_blocks_change_no_bit(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        t = np.arange(n) * 0.1
+        measured = _trace(t, rng.uniform(-90.0, -50.0, n) + rng.uniform(-40.0, 40.0))
+        simulated = _trace(t, rng.uniform(-90.0, -50.0, n))
+        # the one (offsets, samples) array of the unblocked search
+        diffs = measured.values - simulated.values
+        rmse = np.sqrt(np.mean((diffs[None, :] - OFFSET_GRID_DB[:, None]) ** 2, axis=1))
+        best = np.flatnonzero(rmse <= rmse.min() + 1e-12)
+        pick = best[np.argmin(np.abs(OFFSET_GRID_DB[best]))]
+        want = (float(OFFSET_GRID_DB[pick]), float(rmse[pick]))
+        for values in (1, 7, 2**15, 10**9):
+            monkeypatch.setattr(evaluate, "_OFFSET_BLOCK_VALUES", values)
+            got = calibrate_offset(measured, simulated)
+            assert got == want and np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 
 
 class TestHistogram:

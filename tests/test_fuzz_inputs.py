@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import Z_RANK, RankGrid, rank_grid_from_json, rank_grid_to_json
 from uavrank.evaluate import Trace
-from uavrank.scene import (MAX_ARRAY_ELEMENTS, MAX_GRID_CELLS, SceneError, grid_shape,
-                           load_scene)
+from uavrank.scene import (MAX_ARRAY_ELEMENTS, MAX_GRID_CELLS, MAX_MAGNITUDE, SceneError,
+                           grid_shape, load_scene)
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -88,7 +88,7 @@ def rank_grids(draw):
     return grid
 
 
-CELLS = st.sampled_from(["0", "1.5", "-60", "nan", "inf", "-inf", "1e400", "x", "",
+CELLS = st.sampled_from(["0", "1.5", "-60", "nan", "inf", "-inf", "1e400", "1e200", "x", "",
                          " 2 ", "1_0", "0x1", "t_s"]) | st.text(max_size=4)
 HEADERS = st.sampled_from(["t_s,x_m,y_m,z_m,rss_dbm", "x_m,t_s,y_m,z_m,rank",
                            "t_s,x_m,y_m,z_m", "t_s,x_m,y_m,z_m,t_s"]) | st.text(max_size=12)
@@ -163,7 +163,7 @@ def test_rank_grid_from_json_returns_a_valid_grid_or_raises(text):
                                "serving_tower")]
     assert not any(isinstance(v, (bool, str)) for v in _leaves(fields))
     n = len(rg.positions)
-    assert rg.positions.shape == (n, 2) and np.all(np.isfinite(rg.positions))
+    assert rg.positions.shape == (n, 2) and np.all(np.abs(rg.positions) <= MAX_MAGNITUDE)
     assert all(np.isfinite(h) and h > 0 for h in rg.altitudes_m)
     assert all(np.isfinite(k) and k > 1 for k in rg.thresholds)
     assert rg.ranks.shape == (len(rg.altitudes_m), len(rg.thresholds), n)
@@ -201,6 +201,7 @@ def test_trace_from_csv_returns_a_valid_trace_or_raises(text):
         tr = Trace.from_csv(text)
     except ValueError:
         return
-    assert np.all(np.isfinite(tr.t_s)) and np.all(np.diff(tr.t_s) >= 0)
-    assert np.all(np.isfinite(tr.positions)) and np.all(np.isfinite(tr.values))
+    assert np.all(np.abs(tr.t_s) <= MAX_MAGNITUDE) and np.all(np.diff(tr.t_s) >= 0)
+    assert np.all(np.abs(tr.positions) <= MAX_MAGNITUDE)
+    assert np.all(np.abs(tr.values) <= MAX_MAGNITUDE)
     assert tr.positions.shape == (len(tr.t_s), 3) and len(tr.values) == len(tr.t_s)
