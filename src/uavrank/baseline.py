@@ -15,15 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from .kriging import NeighborTable
+from .scene import block_length
 
 METHODS = ("spline", "makima")
 # Akima1DInterpolator keeps the fill slope where the slope weight is at most
 # this fraction of the interpolant's largest weight
 _MAKIMA_CUT = 1e-9
-# Layer x row x neighbor entries interpolated in one kernel call: 2**15
-# entries (256 kB) keep the kernel's (L, R, m) temporaries small whatever the
-# number of targets
-_BLOCK_ENTRIES = 2**15
 
 
 def baseline_rank(target_index: float, indices, values, method: str) -> float:
@@ -55,8 +52,8 @@ def baseline_table(nt: NeighborTable, values, method: str) -> np.ndarray:
 
     `values` holds one row per layer, (L, n), for layers that share the
     neighbor table; the estimates are (L, T).  The targets with equally many
-    neighbors are interpolated in kernel calls of up to _BLOCK_ENTRIES
-    values, at 0 over their sorted neighbor indices' offsets from them;
+    neighbors are interpolated in kernel calls of scene.block_length rows of
+    L x m values, at 0 over their sorted neighbor indices' offsets from them;
     shifting integer indices is exact and each estimate depends on its own
     row alone, so every estimate is baseline_rank's.
     """
@@ -65,7 +62,7 @@ def baseline_table(nt: NeighborTable, values, method: str) -> np.ndarray:
     est = np.full((len(layers), len(nt.targets)), np.nan)
     for m in np.unique(nt.count[nt.count >= 2]):
         targets = np.flatnonzero(nt.count == m)
-        block = max(1, _BLOCK_ENTRIES // (len(layers) * m))
+        block = block_length(len(layers) * m)
         for lo in range(0, len(targets), block):
             rows = targets[lo:lo + block]
             nb = np.sort(nt.index[rows, :m], axis=1)

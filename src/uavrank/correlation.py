@@ -11,13 +11,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .covermap import RankGrid, Z_RANK
-from .scene import parse_json, read_fields
+from .scene import block_length, parse_json, read_fields
 
 DEFAULT_MAX_DISTANCE_M = 500.0
-
-# Distances per row block of bin_correlations: 2**16 entries (512 kB) keep the
-# block's temporaries small beside the n x n correlation matrix.
-_DISTANCE_ENTRIES = 2**16
 
 # MINPACK's machine constants (dpmpar), and enorm's thresholds as scipy's C
 # translation holds them: the Fortran's 3.834e-20 and 1.304e19 at full
@@ -121,7 +117,7 @@ def bin_correlations(vectors, positions, d_rx: float,
     # max_distance_m, gathered row-major a block of rows at a time: no n x n
     # distance matrix is built beside the correlations
     n = len(pos)
-    rows = max(1, _DISTANCE_ENTRIES // n)
+    rows = block_length(n)
     d, phi = [], []
     for lo in range(0, n, rows):
         dist = _distances(pos[lo:lo + rows], pos[lo:])

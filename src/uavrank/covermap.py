@@ -14,8 +14,8 @@ import numpy as np
 
 from .channel import DEFAULT_THRESHOLD_RATIOS, channel_ranks, rss_dbm, synthesize_channels
 from .raytrace import trace_paths
-from .scene import (MAX_MAGNITUDE, ArrayConfig, Scene, Tower, check_layer_axis,
-                    grid_positions, parse_json, read_fields)
+from .scene import (MAX_MAGNITUDE, ArrayConfig, Scene, Tower, block_length,
+                    check_layer_axis, grid_positions, parse_json, read_fields)
 
 # Per-link channel functions, which the sweeps do not call; bound here because
 # bench/tracing.py wraps them by their covermap names.
@@ -31,7 +31,7 @@ Z_RANK = -1
 class CoverageGrid:
     """RSS of one tower (or JOINT) at one altitude. Invariants, checked on
     construction: positions and values have equal length, and the altitude
-    is finite and > 0."""
+    makes a layer axis (scene.check_layer_axis), as a rank grid's do."""
 
     tower_id: object  # tower id or JOINT
     altitude_m: float
@@ -42,8 +42,7 @@ class CoverageGrid:
     def __post_init__(self):
         if len(self.positions) != len(self.values):
             raise ValueError("positions and values must have equal length")
-        if not 0 < self.altitude_m < np.inf:
-            raise ValueError(f"altitude must be > 0, got {self.altitude_m}")
+        check_layer_axis("coverage altitude_m", (self.altitude_m,))
 
     @property
     def blockage_fraction(self) -> float:
@@ -89,11 +88,6 @@ class RankGrid:
         return self.ranks[hi, ki]
 
 
-# Links whose channels are built and reduced together; bounds the channel
-# stack and the per-path temporaries of a block to a few tens of kB per array.
-_CHANNEL_BLOCK = 256
-
-
 def _sweep(s: Scene, tower: Tower, xy: np.ndarray, altitudes, tx_cfg: ArrayConfig,
            rx_cfg: ArrayConfig, reduce, out: np.ndarray) -> None:
     """Write reduce(channels) of every (altitude, cell) link from `tower`,
@@ -102,8 +96,10 @@ def _sweep(s: Scene, tower: Tower, xy: np.ndarray, altitudes, tx_cfg: ArrayConfi
     rx = np.column_stack([np.tile(xy, (len(altitudes), 1)),
                           np.repeat(np.asarray(altitudes, dtype=float), len(xy))])
     paths = trace_paths(s, tower.position, rx)
-    for k in range(0, len(rx), _CHANNEL_BLOCK):
-        cells, h = synthesize_channels(paths.links(k, k + _CHANNEL_BLOCK), tx_cfg, rx_cfg)
+    # links whose channels are built and reduced together, N_r x N_t entries each
+    step = block_length(tx_cfg.elements * rx_cfg.elements)
+    for k in range(0, len(rx), step):
+        cells, h = synthesize_channels(paths.links(k, k + step), tx_cfg, rx_cfg)
         out[k + cells] = reduce(h)
 
 

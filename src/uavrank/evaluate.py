@@ -3,6 +3,7 @@ calibration by min-RMSE offset search, and rank histograms."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +12,7 @@ from .baseline import baseline_table
 from .correlation import CorrelationModel
 from .covermap import RankGrid, Z_RANK
 from .kriging import KrigingConfig, krige_table, neighbor_table, varies_over_altitude
-from .scene import MAX_MAGNITUDE
+from .scene import MAX_MAGNITUDE, block_length
 
 # Per-target references, which loo_evaluate does not call; bound here because
 # bench/tracing.py wraps them by their evaluate names.
@@ -99,6 +100,13 @@ def loo_evaluate(rg: RankGrid, method: str, cfg: KrigingConfig,
 # ---------------------------------------------------------------------------
 
 
+def _is_finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
 @dataclass(frozen=True)
 class Trace:
     """Timestamped flight samples of RSS (or rank) along a trajectory."""
@@ -137,21 +145,29 @@ class Trace:
         repeated = [c for i, c in enumerate(names) if c in names[:i]]
         if repeated:
             raise ValueError(f"trace CSV header repeats column {repeated[0]!r}")
-        rows = np.empty((len(lines) - 1, len(names)))
-        for r, (n, line) in enumerate(lines[1:]):
+        # one float pass, up to the first line with a wrong cell count or a
+        # cell that is no number
+        rows = []
+        for _, line in lines[1:]:
+            cells = line.split(",")
+            if len(cells) != len(names):
+                break
+            try:
+                rows.append(list(map(float, cells)))
+            except ValueError:
+                break
+        rows = np.array(rows).reshape(-1, len(names))
+        # the first fault: a non-finite row, else the line the pass stopped at
+        first = int(np.argmin(np.append(np.isfinite(rows).all(axis=1), False)))
+        if first < len(lines) - 1:
+            n, line = lines[1 + first]
             cells = line.split(",")
             if len(cells) != len(names):
                 raise ValueError(f"trace CSV line {n} has {len(cells)} cells, "
                                  f"expected {len(names)}")
-            for c, cell in enumerate(cells):
-                try:
-                    rows[r, c] = float(cell)
-                except ValueError:
-                    rows[r, c] = np.nan
-            bad = np.flatnonzero(~np.isfinite(rows[r]))
-            if len(bad):
-                raise ValueError(f"trace CSV line {n}, column {names[bad[0]]!r}: "
-                                 f"{cells[bad[0]].strip()!r} is not a finite number")
+            c = next(c for c, cell in enumerate(cells) if not _is_finite_number(cell))
+            raise ValueError(f"trace CSV line {n}, column {names[c]!r}: "
+                             f"{cells[c].strip()!r} is not a finite number")
         col = dict(zip(names, rows.T))
         return cls(
             t_s=col["t_s"],
@@ -163,9 +179,6 @@ class Trace:
 
 OFFSET_GRID_DB = np.round(np.arange(-500, 501) * 0.1, 1)
 JOIN_WINDOW_S = 0.05
-# Offset x sample errors squared in one block of calibrate_offset: 2**15
-# values (256 kB) bound its temporaries whatever the traces' length
-_OFFSET_BLOCK_VALUES = 2**15
 
 
 def align_traces(measured: Trace, simulated: Trace):
@@ -192,7 +205,7 @@ def calibrate_offset(measured: Trace, simulated: Trace) -> tuple[float, float]:
         raise ValueError("no overlapping samples between the traces")
     diffs = m - s
     # each offset's mean reduces its own row alone, so blocking changes no bit
-    block = max(1, _OFFSET_BLOCK_VALUES // len(diffs))
+    block = block_length(len(diffs))
     grid = OFFSET_GRID_DB[:, None]
     rmse = np.sqrt(np.concatenate([np.mean((diffs - grid[lo:lo + block]) ** 2, axis=1)
                                    for lo in range(0, len(grid), block)]))

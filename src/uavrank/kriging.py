@@ -16,22 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationModel, _distances
-from .scene import product_axes
+from .scene import block_length, product_axes
 
 # Candidates past the M nearest that a k-nearest search returns, so that the
 # samples tied at the M-th distance (up to 8 on a square grid) come in one
 # search.
 _TIE_SLACK = 8
-
-# Matrix entries of a block of Kriging systems keyed or solved together:
-# 2**13 entries (64 kB) is 18 systems at M = 20; the temporaries of a block
-# stay below 1 MB, so LOO adds little to the peak memory of a small grid.
-_SOLVE_ENTRIES = 2**13
-
-# Entries of a block of stencil rows that _stencil_table scans, or of
-# coordinate differences that _lattice compares, at once: 2**15 keeps each
-# temporary at 256 kB.
-_STENCIL_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -215,7 +205,7 @@ def _lattice(xy):
 def _equal_diagonals(v) -> bool:
     """Whether v[i + k] - v[i] depends on k only, bit for bit, tested a block
     of rows of np.subtract.outer(v, v) at a time."""
-    step = max(1, _STENCIL_ENTRIES // len(v))
+    step = block_length(len(v))
     for lo in range(0, len(v) - 1, step):
         d = np.subtract.outer(v[lo:lo + step + 1], v)
         if not np.array_equal(d[1:, 1:], d[:-1, :-1]):
@@ -263,7 +253,7 @@ def _stencil_table(xs, ys, valid, cfg: KrigingConfig) -> NeighborTable:
         # the first c stencil entries of each row, in blocks of bounded size;
         # a row is complete when they hold M neighbors or are the whole stencil
         c = min(c, len(s_d))
-        step = max(1, _STENCIL_ENTRIES // c)
+        step = block_length(c)
         left = []
         for lo in range(0, len(rows), step):
             r = rows[lo:lo + step]
@@ -393,7 +383,7 @@ def _system_weights(xy, d_ts, model: CorrelationModel):
     systems = {}  # distance bytes -> system number
     system = np.empty(b_n, dtype=np.intp)
     w = np.empty((b_n, m))  # no more systems than targets
-    block = max(1, _SOLVE_ENTRIES // (m + 1) ** 2)
+    block = block_length((m + 1) ** 2)
     n, new = 0, []  # systems solved so far; (d_ss, d_ts) of those pending
     for lo in range(0, b_n, block):
         d_ss, ts = _pair_distances(xy[lo:lo + block]), d_ts[lo:lo + block]

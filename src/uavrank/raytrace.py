@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scene import SPEED_OF_LIGHT, Material, Scene, Tree, permittivity
+from .scene import SPEED_OF_LIGHT, Material, Scene, Tree, block_length, permittivity
 
 # Segments grazing geometry within this distance count as unblocked, which
 # keeps reflection points from occluding their own facet.
@@ -424,20 +424,9 @@ def trace_paths(s: Scene, tx, rx):
 # bit-identical to trace_paths, which the tests use as the oracle.
 # ---------------------------------------------------------------------------
 
-# Elements per (candidate x receiver) and (segment x obstacle) block; bounds
-# the temporaries of one block.  A smaller block pays numpy's per-call cost
-# for a few receivers at a time, a larger one raises the peak memory.  The
-# rank grid of a 20-building, 30-tree scene on 36 x 71 cells at 9 altitudes
-# (2-core VM, range of three medians of five sweeps), and the peak RSS of 40
-# rank stages on an 11 x 11 cell window of that scene at 2 altitudes:
-#
-#   _BLOCK    grid sweep     peak RSS
-#   1 << 14   1.39-1.78 s    34.7 MB
-#   1 << 15   0.86-1.16 s    35.1 MB
-#   1 << 16   0.82-1.13 s    36.3 MB
-_BLOCK = 1 << 15
-# Elements a receiver adds to a block besides its candidates: its own point,
-# LOS segment, angles and gains, which dominate when a scene has few facets.
+# Elements a receiver adds to a block of receivers (scene.block_length)
+# besides its candidates: its own point, LOS segment, angles and gains, which
+# dominate when a scene has few facets.
 _RX_ELEMENTS = 16
 
 
@@ -755,7 +744,7 @@ def _segment_terms(ob: _Obstacles, p0, p1):
     seg_len = np.sqrt(row_dot(d, d))
     blocked = np.zeros(len(p0), dtype=bool)
     loss = np.zeros(len(p0))
-    step = max(1, _BLOCK // max(1, len(ob.box_lo), len(ob.reach)))
+    step = block_length(max(len(ob.box_lo), len(ob.reach)))
     for k in range(0, len(p0), step):
         sl = slice(k, k + step)
         trunk, loss[sl] = _tree_terms(ob, p0[sl], p1[sl], d[sl], seg_len[sl])
@@ -889,7 +878,7 @@ def _trace_grid(s: Scene, tx, rx_points) -> PathTable:
     fa = _facet_arrays(s)
     tree = _image_tree(fa, tx)
     ob = _obstacles(s)
-    step = max(1, _BLOCK // (len(tree.order) + _RX_ELEMENTS))
+    step = block_length(len(tree.order) + _RX_ELEMENTS)
     parts = []
     for k in range(0, len(rx), step) or [0]:
         cell, cand, cols = _trace_block(s, fa, tree, ob, tx, rx[k:k + step])

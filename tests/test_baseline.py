@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavrank import baseline
 from uavrank.baseline import _interpolate, baseline_rank, baseline_table
 from uavrank.correlation import CorrelationModel
 from uavrank.kriging import KrigingConfig, neighbor_table
@@ -281,7 +280,7 @@ class TestKernelEqualsScipy:
         layers = rg.ranks[:, 0, :].astype(float)
         tables = []
         for entries in (1, 100, 10**9):
-            monkeypatch.setattr(baseline, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr("uavrank.scene.BLOCK_ENTRIES", entries)
             tables.append(baseline_table(nt, layers, method))
         assert len(np.unique(nt.count)) > 1
         for table in tables[1:]:

@@ -574,6 +574,14 @@ class TestMalformedArtifacts:
         ("x,0,0,30,-60", "line 3, column 't_s': 'x' is not a finite number"),
         ("nan,0,0,30,-60", "line 3, column 't_s': 'nan' is not a finite number"),
         ("0.1,0,0,30", "line 3 has 4 cells, expected 5"),
+        # the first faulty line, then its first faulty cell; a wrong cell
+        # count beats bad numbers on one line
+        ("0.1,0,0,30,inf\n0.2,0,0,30", "line 3, column 'rss_dbm': 'inf' is not a finite number"),
+        ("q,0,0,30,-60\n0.2,0,0", "line 3, column 't_s': 'q' is not a finite number"),
+        ("0.1,0,0\nnan,0,0,30,-60", "line 3 has 3 cells, expected 5"),
+        ("0.1,0,inf,30,abc", "line 3, column 'y_m': 'inf' is not a finite number"),
+        ("0.1,abc,0,30,inf", "line 3, column 'x_m': 'abc' is not a finite number"),
+        ("inf,0,0,abc", "line 3 has 4 cells, expected 5"),
     ])
     def test_trace_bad_cells(self, tmp_path, capsys, row, text):
         rows = "t_s,x_m,y_m,z_m,rss_dbm\n0,0,0,30,-60\n"
@@ -902,3 +910,53 @@ class TestWriteAll:
         _write_all(out, {"a.csv": "new\n", "b.pgm": b"P5"})
         assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.pgm"]
         assert (out / "a.csv").read_text() == "new\n"
+
+
+class TestBlockBudget:
+    """scene.BLOCK_ENTRIES sizes every blocked loop: the tracer's receiver
+    and segment blocks, the channel window, the distance rows, the stencil
+    scan, the Kriging solves, the baselines' kernel calls and the offset
+    search. No artifact depends on it."""
+
+    @staticmethod
+    def _every_stage(root: Path) -> dict:
+        """Run synth -> fit -> interpolate, rank, joint coverage (SISO and
+        MIMO) and calibrate into root; returns {path: bytes} of what they
+        wrote."""
+        root.mkdir()
+        (root / "scene.json").write_text(json.dumps(PROBE_SCENE))
+        t = np.arange(40) * 0.1
+        for name, shift in (("meas", 3.3), ("sim", 0.0)):
+            rows = [f"{ti:.3f},0,0,30,{-60.0 + np.sin(ti) + shift:.6f}" for ti in t]
+            (root / f"{name}.csv").write_text("t_s,x_m,y_m,z_m,rss_dbm\n"
+                                              + "\n".join(rows) + "\n")
+        itp = ["interpolate", "--rank-grid", f"{root}/synth",
+               "--model", f"{root}/fit/correlation_model.json"]
+        for argv in (
+            ["synth", "--out", f"{root}/synth", "--nx", "10", "--ny", "10",
+             "--altitudes", "30,70", "--thresholds", "10"],
+            ["fit", "--rank-grid", f"{root}/synth", "--out", f"{root}/fit"],
+            [*itp, "--out", f"{root}/itp", "--method", "all"],
+            [*itp, "--out", f"{root}/itp-round", "--method", "kriging", "--round"],
+            ["rank", "--scene", f"{root}/scene.json", "--out", f"{root}/rank"],
+            ["coverage", "--scene", f"{root}/scene.json", "--out", f"{root}/siso", "--joint"],
+            ["coverage", "--scene", f"{root}/scene.json", "--out", f"{root}/mimo", "--joint",
+             "--mode", "MIMO"],
+            ["calibrate", "--measured", f"{root}/meas.csv", "--simulated", f"{root}/sim.csv",
+             "--out", f"{root}/cal"],
+        ):
+            assert main(argv) == EXIT_OK, argv
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file()}
+
+    def test_artifacts_do_not_depend_on_the_budget(self, tmp_path, monkeypatch):
+        outs = {}
+        for entries in (1, 97, 2**15, 2**30):
+            monkeypatch.setattr("uavrank.scene.BLOCK_ENTRIES", entries)
+            outs[entries] = self._every_stage(tmp_path / str(entries))
+        want = outs.pop(2**15)
+        assert len(want) > 20
+        for entries, got in outs.items():
+            assert list(got) == list(want), entries
+            for path, content in got.items():
+                assert content == want[path], (entries, path)

@@ -398,6 +398,6 @@ class TestDistances:
         idx, vectors = build_rank_vectors(rg)
         whole = bin_correlations(vectors, rg.positions[idx], 30.0)
         for entries in (1, 7 * len(idx), 10**9):
-            monkeypatch.setattr(correlation, "_DISTANCE_ENTRIES", entries)
+            monkeypatch.setattr("uavrank.scene.BLOCK_ENTRIES", entries)
             for got, want in zip(bin_correlations(vectors, rg.positions[idx], 30.0), whole):
                 assert np.array_equal(got, want)

@@ -6,7 +6,6 @@ import pytest
 from uavrank.baseline import baseline_rank
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import RankGrid, Z_RANK
-from uavrank import evaluate
 from uavrank.evaluate import (
     JOIN_WINDOW_S,
     OFFSET_GRID_DB,
@@ -109,6 +108,42 @@ class TestTrace:
         assert tr.kind == "rank"
         assert tr.values[0] == 2.0
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_fault_is_the_row_by_row_one(self, seed):
+        # documents with several faults report what a row-by-row parse finds
+        # first: the first faulty line, then its first faulty cell, a wrong
+        # cell count beating bad numbers
+        rng = np.random.default_rng(seed)
+        bad_cells = ["nan", "inf", "-inf", "abc", "", "1e999"]
+        rows = []
+        for _ in range(rng.integers(1, 300)):
+            row = [str(x) for x in rng.integers(-9, 10, 5)]
+            for c in np.flatnonzero(rng.random(5) < 0.005):
+                row[c] = bad_cells[rng.integers(len(bad_cells))]
+            if rng.random() < 0.01:
+                row = row[:4] if rng.random() < 0.5 else row + ["1"]
+            rows.append(row)
+        text = "t_s,x_m,y_m,z_m,rss_dbm\n" + "\n".join(map(",".join, rows))
+        want = None
+        for n, row in enumerate(rows, start=2):
+            if len(row) != 5:
+                want = f"trace CSV line {n} has {len(row)} cells, expected 5"
+                break
+            bad = [c for c, cell in enumerate(row) if cell in bad_cells]
+            if bad:
+                name = ("t_s", "x_m", "y_m", "z_m", "rss_dbm")[bad[0]]
+                want = (f"trace CSV line {n}, column {name!r}: "
+                        f"{row[bad[0]]!r} is not a finite number")
+                break
+        if want is None and np.any(np.diff([int(row[0]) for row in rows]) < 0):
+            want = "trace timestamps must be non-decreasing"
+        if want is None:
+            assert len(Trace.from_csv(text).t_s) == len(rows)
+        else:
+            with pytest.raises(ValueError) as err:
+                Trace.from_csv(text)
+            assert str(err.value) == want
+
     def test_timestamps_must_be_sorted(self):
         with pytest.raises(ValueError):
             _trace([0.2, 0.1], [-50.0, -51.0])
@@ -192,7 +227,7 @@ class TestCalibrate:
         pick = best[np.argmin(np.abs(OFFSET_GRID_DB[best]))]
         want = (float(OFFSET_GRID_DB[pick]), float(rmse[pick]))
         for values in (1, 7, 2**15, 10**9):
-            monkeypatch.setattr(evaluate, "_OFFSET_BLOCK_VALUES", values)
+            monkeypatch.setattr("uavrank.scene.BLOCK_ENTRIES", values)
             got = calibrate_offset(measured, simulated)
             assert got == want and np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
 

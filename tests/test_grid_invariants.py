@@ -3,6 +3,8 @@ or synthetic_rank_field builds is one rank_grid_from_json reads back, and a
 grid that the reader would refuse is refused before any work is done on it.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from uavrank import covermap, synth
 from uavrank.correlation import CorrelationModel
 from uavrank.covermap import (compute_coverage, compute_rank_grid, rank_grid_from_json,
                               rank_grid_to_json)
-from uavrank.scene import Scene, Tower
+from uavrank.scene import Scene, SceneError, Tower
 from uavrank.synth import synthetic_grid_positions, synthetic_rank_field
 
 SMALL = Scene(extent_m=(300.0, 300.0), grid_spacing_m=100.0, altitudes_m=(30.0,),
@@ -77,10 +79,15 @@ def test_synthetic_rank_field_round_trips(altitudes, thresholds, nx, ny, seed):
     _assert_round_trips(synthetic_rank_field(positions, MODEL, altitudes, thresholds, seed))
 
 
-@pytest.mark.parametrize("altitude", [np.nan, np.inf])
+@pytest.mark.parametrize("altitude", [np.nan, np.inf, 1e160, 2e6])
 def test_compute_coverage_refuses_a_bad_altitude_before_the_sweep(monkeypatch, altitude):
-    # NaN and inf once ran the tracer into RuntimeWarnings, which the suite
-    # turns into errors
+    # NaN, inf and 1e160 once ran the tracer into RuntimeWarnings, which the
+    # suite turns into errors; 2e6 m, past the 1e6 m bound on lengths, was
+    # swept although compute_rank_grid refused it
     monkeypatch.setattr(covermap, "trace_paths", _never)
-    with pytest.raises(ValueError, match=f"altitude must be > 0, got {altitude}"):
+    rule = "at most 1e+06 m" if np.isfinite(altitude) else "finite and non-empty"
+    with pytest.raises(SceneError, match=re.escape(f"coverage altitude_m must be {rule}, "
+                                                   f"got {(altitude,)}")):
         compute_coverage(SMALL, SMALL.towers[0], altitude)
+    with pytest.raises(SceneError, match=re.escape(f"altitudes_m must be {rule}")):
+        compute_rank_grid(SMALL, altitudes_m=(altitude,))

@@ -614,7 +614,7 @@ class TestLattice:
         if seed % 2:
             # blocks of a few rows: each scan of the stencil, and the
             # lattice test, splits into many
-            monkeypatch.setattr(kriging, "_STENCIL_ENTRIES", 97)
+            monkeypatch.setattr("uavrank.scene.BLOCK_ENTRIES", 97)
         nt = neighbor_table(pos, valid, cfg)
         assert paths == ["_tree_table" if off_lattice else "_stencil_table"]
         ref = kriging._tree_table(pos, valid, cfg)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from uavrank.channel import channel_rank, rss, synthesize_channel
-from uavrank import covermap, raytrace
+from uavrank import raytrace
 from uavrank.covermap import Z_RANK, compute_coverage, compute_rank_grid
 from uavrank.raytrace import PathRow, PathTable, trace_paths
-from uavrank.scene import BUILTIN_MATERIALS, ArrayConfig, Building, Scene, Tower, Tree
+from uavrank.scene import (BLOCK_ENTRIES, BUILTIN_MATERIALS, ArrayConfig, Building, Scene,
+                           Tower, Tree)
 
 SEEDS = range(24)
 EXTENT = 240.0
@@ -138,14 +139,14 @@ def _columns(table: PathTable):
             for c in (getattr(table, f.name) for f in fields(PathTable))]
 
 
-@pytest.mark.parametrize("block", [1, 1 << 6, raytrace._BLOCK, 1 << 20])
+@pytest.mark.parametrize("block", [1, 1 << 6, BLOCK_ENTRIES, 1 << 20])
 def test_table_does_not_depend_on_block(monkeypatch, block):
     # block 1 traces one receiver per block
     s = random_scene(4)
     tx = s.towers[0].position
     rx = receivers(s, tx)
     table = trace_paths(s, tx, rx)
-    monkeypatch.setattr(raytrace, "_BLOCK", block)
+    monkeypatch.setattr("uavrank.scene.BLOCK_ENTRIES", block)
     assert _columns(trace_paths(s, tx, rx)) == _columns(table)
 
 
@@ -212,7 +213,7 @@ def test_per_link_rows_do_not_depend_on_builtin_sum(monkeypatch, scene):
                 map(tuple, table.aoa[rows].tolist()), table.gain[rows].tolist()))
 
 
-@pytest.mark.parametrize("block", [1, raytrace._BLOCK])
+@pytest.mark.parametrize("block", [1, BLOCK_ENTRIES])
 @pytest.mark.parametrize("scene", [random_scene(seed) for seed in SEEDS[::3]]
                          + [touching_scene(seed) for seed in range(4)])
 def test_block_candidate_cull(monkeypatch, scene, block):
@@ -221,7 +222,7 @@ def test_block_candidate_cull(monkeypatch, scene, block):
     # block in front of it; the table must be that of every candidate
     tx = scene.towers[0].position
     rx = np.vstack([receivers(scene, tx), CORNER_RX])
-    monkeypatch.setattr(raytrace, "_BLOCK", block)
+    monkeypatch.setattr("uavrank.scene.BLOCK_ENTRIES", block)
     dropped = []
     cull = raytrace._block_candidates
 
@@ -309,7 +310,8 @@ def test_sweeps_do_not_depend_on_the_channel_block(monkeypatch):
     tower = s.towers[0]
     ranks = compute_rank_grid(s).ranks
     rss_dbm = compute_coverage(s, tower, 30.0, mode="MIMO").values
-    monkeypatch.setattr(covermap, "_CHANNEL_BLOCK", 7)
+    # 7 links of 4 x 4 channels per block
+    monkeypatch.setattr("uavrank.scene.BLOCK_ENTRIES", 7 * 16)
     assert np.array_equal(compute_rank_grid(s).ranks, ranks)
     assert np.array_equal(compute_coverage(s, tower, 30.0, mode="MIMO").values, rss_dbm,
                           equal_nan=True)
